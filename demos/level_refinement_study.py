@@ -43,7 +43,7 @@ for m in (4, 5, 6):
 
 # Full space-time study against a coarse reference partition.
 part = uniform_partition(problems[7].time_grid, grid, n_time_bins=4)
-study = convergence_study(results, f_spec, grid.dim, grid.volumes, part)
+study = convergence_study(results, f_spec, grid.strain_dim, grid.volumes, part)
 print("\nfinal-state differences between consecutive levels "
       "(should roughly halve):")
 for (a, b), d in zip(zip(study["levels"], study["levels"][1:]),

@@ -7,6 +7,16 @@ implicit dyadic time stepper with per-step convex-duality certificates, and
 empirical parametrized-measure diagnostics across refinement levels.
 """
 
+import os
+
+# FERROSOLVE_THREADS caps the threads of the linear algebra libraries.  They
+# read their thread counts when they load, so the cap precedes every import
+# that may load numpy.
+if os.environ.get("FERROSOLVE_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                 "NUMEXPR_NUM_THREADS"):
+        os.environ.setdefault(_var, os.environ["FERROSOLVE_THREADS"])
+
 from .errors import (AtomOutsideDomain, DomainEscape, FerrosolveError,
                      LinearSolveFailure, MismatchedScenario, NoConvergence,
                      NonPositiveDefinite, OutsideDomain, ParseError,

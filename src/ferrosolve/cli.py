@@ -11,27 +11,15 @@ import sys
 
 import numpy as np
 
-
-def _apply_thread_cap():
-    cap = os.environ.get("FERROSOLVE_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
-
-
-_apply_thread_cap()
-
-from .errors import (DomainEscape, FerrosolveError, LinearSolveFailure,  # noqa: E402
+from .errors import (DomainEscape, FerrosolveError, LinearSolveFailure,
                      MismatchedScenario, NoConvergence, NonPositiveDefinite,
                      ParseError, SingularSystem, StepSolveFailure,
                      ValidationError)
-from . import io as fio                                                  # noqa: E402
-from .rothe import average_loads, interpolant_gap                        # noqa: E402
-from .scenario import parse_scenario                                     # noqa: E402
-from .tensors import assemble_block_A, assemble_block_D                  # noqa: E402
-from .young import build_measure, convergence_study, mvs_residual, uniform_partition  # noqa: E402
+from . import io as fio
+from .rothe import average_loads, interpolant_gap
+from .scenario import parse_scenario
+from .tensors import assemble_block_A, assemble_block_D
+from .young import build_measure, convergence_study, mvs_residual, uniform_partition
 
 EXIT_OK = 0
 EXIT_SOLVER = 2
@@ -61,17 +49,15 @@ def _coercivity_gate(scn, override):
             "not apply; pass --override-coercivity to run anyway"])
 
 
-def _run_level(scn, level, outdir, tag=""):
-    grid = scn.build_grid()
-    tensors = scn.build_tensors()
-    system = scn.build_system(grid, tensors)
+def _run_level(scn, system, level, outdir):
+    grid = system.grid
     problem = scn.build_problem(level=level, system=system)
     schedule = scn.build_schedule(grid)
     zhat = average_loads(system, schedule, problem.time_grid)
     z0 = scn.initial_state(grid)
     traj, ledger = problem.run(z0, zhat, step_tol=scn.tolerances.step_tol)
 
-    suffix = f"_m{level}{tag}"
+    suffix = f"_m{level}"
     fio.write_trajectory_csv(
         os.path.join(outdir, f"trajectory{suffix}.csv"), level, traj, grid.dim)
     fio.write_energy_csv(
@@ -93,7 +79,7 @@ def cmd_run(scn, args):
     outdir = fio.ensure_outdir(args.out)
     _coercivity_gate(scn, args.override_coercivity)
     level = args.level if args.level is not None else scn.level
-    problem, traj, ledger = _run_level(scn, level, outdir)
+    problem, traj, ledger = _run_level(scn, scn.build_system(), level, outdir)
     worst = max((c.residual for c in traj.certificates), default=0.0)
     print(f"level {level}: {traj.time_grid.n_steps} steps, "
           f"max certificate {worst:.3e}, outputs in {outdir}")
@@ -110,13 +96,14 @@ def cmd_converge(scn, args):
     if m1 < m0 or m0 < 1:
         raise ValidationError([f"levels: need 1 <= m0 <= m1, got {m0}..{m1}"])
 
-    grid = scn.build_grid()
+    system = scn.build_system()
+    grid = system.grid
     f_spec = scn.build_f()
     g_spec = scn.build_g()
     results = []
     problems = {}
     for lv in range(m0, m1 + 1):
-        problem, traj, _ = _run_level(scn, lv, outdir)
+        problem, traj, _ = _run_level(scn, system, lv, outdir)
         results.append((lv, traj))
         problems[lv] = problem
 

@@ -45,8 +45,13 @@ class AssembledSystem:
         self.block_A = assemble_block_A(tensors)
         self.block_D = assemble_block_D(tensors)
         self._build_dof_map()
-        self._build_B()
-        self._assemble()
+        self._build_operators(self._build_B())
+        self.lu = None
+        if self.n_free:
+            try:
+                self.lu = spla.splu(self.K)
+            except RuntimeError as exc:      # pragma: no cover - guarded by tensor checks
+                raise SingularSystem(str(exc)) from exc
 
     # ------------------------------------------------------------------
 
@@ -87,73 +92,71 @@ class AssembledSystem:
                     B[:, n, col_j] += grads[:, a, i] / np.sqrt(2.0)
             phi_col = a * self.n_comp + d
             B[:, s:, phi_col] += grads[:, a, :]
-        self.B = B
+        return B
 
-    def _assemble(self):
-        g = self.grid
-        A = self.block_A.matrix
-        # element matrices: vol * B^T A B, with the test index first
-        elem = np.einsum("c,cie,ij,cjf->cef", g.volumes, self.B, A, self.B)
-        nn = g.dim + 1
-        el_dofs = (g.cells[:, :, None] * self.n_comp
-                   + np.arange(self.n_comp)[None, None, :]).reshape(g.n_cells, -1)
-        el_free = self.dof_of[el_dofs]                    # (nc, ne)
-        rows = np.repeat(el_free, el_free.shape[1], axis=1).ravel()
-        cols = np.tile(el_free, (1, el_free.shape[1])).ravel()
-        vals = elem.ravel()
-        keep = (rows >= 0) & (cols >= 0)
-        K = sp.coo_matrix(
-            (vals[keep], (rows[keep], cols[keep])),
-            shape=(self.n_free, self.n_free),
-        ).tocsc()
-        self.K = K
-        if self.n_free:
-            try:
-                self.lu = spla.splu(K)
-            except RuntimeError as exc:      # pragma: no cover - guarded by tensor checks
-                raise SingularSystem(str(exc)) from exc
-        else:
-            self.lu = None
+    def _build_operators(self, B):
+        """Sparse strain map G, stiffness K = G^T (V x A) G, source and load maps.
+
+        G stacks the per-cell B over the free dofs, so G U is the per-cell
+        (packed strain, potential gradient) of the free-dof vector U.
+        """
+        g, t = self.grid, self.tensors
+        nc, k, m = g.n_cells, g.internal_dim, self.n_comp
+        el_free = self.dof_of[(g.cells[:, :, None] * m
+                               + np.arange(m)).reshape(nc, -1)]     # (nc, ne)
+        rows = np.broadcast_to(np.arange(nc * k).reshape(nc, k, 1), B.shape)
+        cols = np.broadcast_to(el_free[:, None, :], B.shape)
+        keep = (cols >= 0) & (B != 0.0)
+        self.G = sp.csr_matrix((B[keep], (rows[keep], cols[keep])),
+                               shape=(nc * k, self.n_free))
+        VA = sp.kron(sp.diags(g.volumes), self.block_A.matrix, format="csr")
+        self.K = (self.G.T @ VA @ self.G).tocsc()
+        # internal state z -> (C r, P - e r) per cell, weighted by its volume
+        W = np.block([[t.C, np.zeros((g.strain_dim, g.dim))],
+                      [-t.e_piezo, np.eye(g.dim)]])
+        self.source_map = (self.G.T @ sp.kron(sp.diags(g.volumes), W)).tocsr()
+        # per cell, M z = z @ _M_of_z + (G U) @ _M_of_grads: _reduce is linear
+        eye, zero = np.eye(k), np.zeros((k, k))
+        self._M_of_z = self._reduce(eye, zero)
+        self._M_of_grads = self._reduce(zero, eye)
+        # each cell spreads vol/(d+1) of its (b, q) onto every one of its nodes
+        rows = el_free.reshape(nc, -1, m)
+        cols = np.broadcast_to(np.arange(nc * m).reshape(nc, 1, m), rows.shape)
+        vals = np.broadcast_to((g.volumes / (g.dim + 1))[:, None, None], rows.shape)
+        keep = rows >= 0
+        self.load_map = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
+                                      shape=(self.n_free, nc * m))
 
     # ------------------------------------------------------------------
 
-    def _scatter(self, cell_vecs):
-        """Assemble sum_c vol_c B_c^T w_c into the free-dof vector."""
-        g = self.grid
-        contrib = np.einsum("c,cie,ci->ce", g.volumes, self.B, cell_vecs)
-        nn = g.dim + 1
-        el_dofs = (g.cells[:, :, None] * self.n_comp
-                   + np.arange(self.n_comp)[None, None, :]).reshape(g.n_cells, -1)
-        el_free = self.dof_of[el_dofs]
-        out = np.zeros(self.n_free)
-        keep = el_free >= 0
-        np.add.at(out, el_free[keep], contrib[keep])
-        return out
-
     def rhs_from_internal(self, z):
         """Load vector of the internal-variable source terms."""
-        t = self.tensors
-        s = self.grid.strain_dim
-        r = z[:, :s]
-        P = z[:, s:]
-        w = np.concatenate([r @ t.C.T, P - r @ t.e_piezo.T], axis=-1)
-        return self._scatter(w)
+        return self.source_map @ np.asarray(z, dtype=float).ravel()
 
     def rhs_from_loads(self, b, q):
         """Load vector of body force b (n_cells, d) and charge density q (n_cells,)."""
-        g = self.grid
-        d = g.dim
         cell_vals = np.concatenate([np.asarray(b, dtype=float),
                                     np.asarray(q, dtype=float)[:, None]], axis=-1)
-        weights = g.volumes / (d + 1)
-        out = np.zeros(self.n_free)
-        for a in range(d + 1):
-            el_dofs = (g.cells[:, a, None] * self.n_comp
-                       + np.arange(self.n_comp)[None, :])
-            el_free = self.dof_of[el_dofs]
-            keep = el_free >= 0
-            np.add.at(out, el_free[keep], (weights[:, None] * cell_vals)[keep])
-        return out
+        return self.load_map @ cell_vals.ravel()
+
+    def _solve(self, rhs):
+        """K U = rhs by the LU factors, checked against linear_tol.
+
+        A residual above the tolerance gets one refinement step; if that does
+        not bring it under, :class:`LinearSolveFailure` is raised.
+        """
+        if not self.n_free:
+            return np.zeros(0)
+        U = self.lu.solve(rhs)
+        res = self.K @ U - rhs
+        scale = max(np.linalg.norm(rhs), 1e-300)
+        rel = np.linalg.norm(res) / scale
+        if rel > self.linear_tol:
+            U = U - self.lu.solve(res)
+            rel = np.linalg.norm(self.K @ U - rhs) / scale
+            if rel > self.linear_tol:
+                raise LinearSolveFailure(rel)
+        return U
 
     # ------------------------------------------------------------------
 
@@ -174,18 +177,7 @@ class AssembledSystem:
             if q is None:
                 q = np.zeros(g.n_cells)
             rhs = rhs + self.rhs_from_loads(b, q)
-
-        U_free = np.zeros(0)
-        if self.n_free:
-            U_free = self.lu.solve(rhs)
-            res = self.K @ U_free - rhs
-            scale = max(np.linalg.norm(rhs), 1e-300)
-            rel = np.linalg.norm(res) / scale
-            if rel > self.linear_tol:
-                U_free = U_free - self.lu.solve(res)
-                rel = np.linalg.norm(self.K @ U_free - rhs) / scale
-                if rel > self.linear_tol:
-                    raise LinearSolveFailure(rel)
+        U_free = self._solve(rhs)
 
         full = np.zeros(g.n_nodes * self.n_comp)
         mask = self.dof_of >= 0
@@ -206,10 +198,19 @@ class AssembledSystem:
         f = self.solve_bvp(z=z)
         return np.concatenate([f.eps, f.D], axis=-1)
 
+    def _reduce(self, z, grads):
+        """D (z - Q z) per cell, given z and the (strain, potential gradient) of its solve."""
+        s = self.grid.strain_dim
+        eps = grads[:, :s]
+        _, D = constitutive_stress_field(self.tensors, eps, -grads[:, s:],
+                                         z[:, :s], z[:, s:])
+        return (z - np.concatenate([eps, D], axis=-1)) @ self.block_D.matrix.T
+
     def apply_M(self, z):
-        """M z = D (z - Q z); equals minus (stress, field) of the zero-load solve."""
+        """M z = D (z - Q z), from one solve and the strain map G."""
         z = np.asarray(z, dtype=float)
-        return (z - self.project_Q(z)) @ self.block_D.matrix.T
+        grads = (self.G @ self._solve(self.rhs_from_internal(z))).reshape(z.shape)
+        return z @ self._M_of_z + grads @ self._M_of_grads
 
     def load_trace(self, b, q):
         """z_hat = (stress, electric field) of the solve with zero internal state."""
@@ -217,14 +218,17 @@ class AssembledSystem:
         return np.concatenate([f.sigma, f.E], axis=-1)
 
     def assemble_M_matrix(self):
-        """Dense matrix of M on per-cell internal states (desk-scale only)."""
+        """Dense M, column by column from full solves and :meth:`project_Q`.
+
+        A reference for tests only: it does not go through :meth:`apply_M`.
+        """
         n = self.grid.n_cells * self.grid.internal_dim
         cols = np.empty((n, n))
         for j in range(n):
             e = np.zeros(n)
             e[j] = 1.0
-            cols[:, j] = self.apply_M(
-                e.reshape(self.grid.n_cells, self.grid.internal_dim)).ravel()
+            e = e.reshape(self.grid.n_cells, self.grid.internal_dim)
+            cols[:, j] = ((e - self.project_Q(e)) @ self.block_D.matrix.T).ravel()
         return cols
 
     # ------------------------------------------------------------------

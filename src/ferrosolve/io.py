@@ -17,6 +17,11 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
+def _rows(fmt, values):
+    """Rows of a 2-d array, each formatted by one ``%.17g`` format string."""
+    return "".join(fmt % tuple(row) for row in np.asarray(values, dtype=float).tolist())
+
+
 def _component_names(prefix, n):
     return [f"{prefix}{i}" for i in range(n)]
 
@@ -31,25 +36,17 @@ def trajectory_columns(dim):
 
 def write_trajectory_csv(path, level, traj, dim):
     """One row per (step, cell); columns fixed by :func:`trajectory_columns`."""
-    s = dim * (dim + 1) // 2
     h = traj.time_grid.h
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# ferrosolve trajectory v{FORMAT_VERSION}\n")
         fh.write(",".join(trajectory_columns(dim)) + "\n")
-        n_cells = traj.z_nodes.shape[1]
+        n_cells, k = traj.z_nodes.shape[1:]
+        cell = np.arange(n_cells)[:, None]
+        values = ",".join(["%.17g"] * (2 * k))
         for n in range(traj.time_grid.n_steps):
-            t = (n + 1) * h
-            cert = traj.certificates[n].residual
-            z = traj.z_nodes[n + 1]
-            se = traj.sigma_E[n]
-            for c in range(n_cells):
-                row = [str(level), str(n + 1), _fmt(t), str(c)]
-                row += [_fmt(v) for v in z[c, :s]]
-                row += [_fmt(v) for v in z[c, s:]]
-                row += [_fmt(v) for v in se[c, :s]]
-                row += [_fmt(v) for v in se[c, s:]]
-                row.append(_fmt(cert))
-                fh.write(",".join(row) + "\n")
+            fmt = (f"{level},{n + 1},{_fmt((n + 1) * h)},%d,{values},"
+                   f"{_fmt(traj.certificates[n].residual)}\n")
+            fh.write(_rows(fmt, np.hstack([cell, traj.z_nodes[n + 1], traj.sigma_E[n]])))
 
 
 def write_energy_csv(path, level, ledger):
@@ -89,10 +86,9 @@ def write_measure_csv(path, measure):
         for i, row in enumerate(measure.atoms):
             for j, a in enumerate(row):
                 wts = measure.weights[i][j]
-                for idx in range(a.shape[0]):
-                    fh.write(",".join(
-                        [str(i), str(j), str(idx), _fmt(wts[idx])]
-                        + [_fmt(v) for v in a[idx]]) + "\n")
+                fmt = f"{i},{j},%d," + ",".join(["%.17g"] * (k + 1)) + "\n"
+                fh.write(_rows(fmt, np.column_stack(
+                    [np.arange(a.shape[0]), wts, a])))
 
 
 def write_study_csv(path, study):
@@ -146,18 +142,15 @@ def write_snapshot(path, grid, fields, title="ferrosolve snapshot"):
         fh.write("DATASET STRUCTURED_GRID\n")
         fh.write(f"DIMENSIONS {dims[0]} {dims[1]} {dims[2]}\n")
         fh.write(f"POINTS {n_nodes} double\n")
-        for p in coords:
-            fh.write(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
+        fh.write(_rows("%.17g %.17g %.17g\n", coords))
 
         fh.write(f"POINT_DATA {n_nodes}\n")
         u3 = np.zeros((n_nodes, 3))
         u3[:, :d] = fields.u
         fh.write("VECTORS displacement double\n")
-        for p in u3:
-            fh.write(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
+        fh.write(_rows("%.17g %.17g %.17g\n", u3))
         fh.write("SCALARS potential double 1\nLOOKUP_TABLE default\n")
-        for v in fields.phi:
-            fh.write(_fmt(v) + "\n")
+        fh.write(_rows("%.17g\n", fields.phi[:, None]))
 
         fh.write(f"CELL_DATA {n_boxes}\n")
         blocks = [
@@ -169,8 +162,7 @@ def write_snapshot(path, grid, fields, title="ferrosolve snapshot"):
         for name, vals in blocks:
             ncomp = vals.shape[1]
             fh.write(f"SCALARS {name} double {ncomp}\nLOOKUP_TABLE default\n")
-            for row in vals:
-                fh.write(" ".join(_fmt(v) for v in row) + "\n")
+            fh.write(_rows(" ".join(["%.17g"] * ncomp) + "\n", vals))
 
 
 def ensure_outdir(path):

@@ -177,8 +177,7 @@ class Trajectory:
 class SteppedProblem:
     """One dyadic level of the discretized evolution on a fixed grid."""
 
-    def __init__(self, system, f_spec, g_spec, level, T, reg_weight=None,
-                 dense_threshold=4096):
+    def __init__(self, system, f_spec, g_spec, level, T, reg_weight=None):
         self.system = system
         self.f = f_spec
         self.g = g_spec
@@ -192,37 +191,29 @@ class SteppedProblem:
         self.reg = (1.0 / self.level) if reg_weight is None else float(reg_weight)
         grid = system.grid
         self.s = grid.strain_dim
-        self.k = grid.internal_dim
-        self.n = grid.n_cells * self.k
         self.vol = grid.volumes
         self.L = system.tensors.L_hard
 
-        self._M_dense = system.assemble_M_matrix() if self.n <= dense_threshold else None
-        self.lam_max = self._estimate_lam_max()
+        self.lam_max = self._lam_max_bound()
         self.gamma = 0.9 / self.lam_max
 
     # -- operator ------------------------------------------------------
 
     def apply_M(self, z):
-        if self._M_dense is not None:
-            return (self._M_dense @ z.ravel()).reshape(z.shape)
         return self.system.apply_M(z)
 
     def apply_Mm(self, z):
         return self.apply_M(z) + z @ self.L.T + self.reg * z
 
-    def _estimate_lam_max(self):
-        rng = np.random.default_rng(0)
-        v = rng.standard_normal((self.system.grid.n_cells, self.k))
-        lam = 1.0
-        for _ in range(50):
-            w = self.apply_Mm(v)
-            lam = np.sqrt(np.sum(w * w) / max(np.sum(v * v), 1e-300))
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                break
-            v = w / nw
-        return max(lam, self.reg)
+    def _lam_max_bound(self):
+        """Upper bound lambda_max(D) + lambda_max(L) + reg on the spectrum of M_m.
+
+        I - Q is the D-orthogonal projection, so <M z, z> = |(I - Q) z|_D^2
+        <= |z|_D^2 <= lambda_max(D) |z|^2.
+        """
+        lam_D = np.linalg.eigvalsh(self.system.block_D.matrix).max()
+        lam_L = np.linalg.eigvalsh(self.L).max()
+        return float(lam_D + lam_L + self.reg)
 
     # -- inner products -------------------------------------------------
 
@@ -241,9 +232,14 @@ class SteppedProblem:
 
     # -- certificate ----------------------------------------------------
 
-    def residual_parts(self, z, rate, zhat):
-        """Sigma, integrated Young-Fenchel residual and K-violation at z."""
-        Sigma = -self.apply_Mm(z) - full_grad(self.f, z, self.s) + zhat
+    def residual_parts(self, z, rate, zhat, Mm_z=None):
+        """Sigma, integrated Young-Fenchel residual and K-violation at z.
+
+        ``Mm_z`` is M_m z when the caller already has it.
+        """
+        if Mm_z is None:
+            Mm_z = self.apply_Mm(z)
+        Sigma = -Mm_z - full_grad(self.f, z, self.s) + zhat
         if isinstance(self.g, BallIndicator):
             viol = float(self.g.violation(Sigma).max(initial=0.0))
             Sigma_in = self.g.prox(1.0, Sigma)   # projection onto K
@@ -264,16 +260,17 @@ class SteppedProblem:
         Davis-Yin three-operator splitting: the remanent energy enters by its
         prox (which keeps iterates strictly inside its domain), the rate term
         by the prox of its conjugate, the quadratic by plain gradient steps.
+        A non-finite certificate or fixed-point gap fails the step at once.
         """
         z_prev = np.asarray(z_prev, dtype=float)
         if not np.all(full_contains(self.f, z_prev, self.s)):
             raise DomainEscape("previous state left the domain of the remanent energy")
         gam = self.gamma
         y = z_prev.copy() if y0 is None else np.asarray(y0, dtype=float).copy()
-        best = None
         for it in range(1, max_iter + 1):
             xB = full_prox(self.f, gam, y, self.s)
-            grad = self.apply_Mm(xB) - zhat
+            Mm_xB = self.apply_Mm(xB)
+            grad = Mm_xB - zhat
             w = 2.0 * xB - y - gam * grad
             u = self.g.conjugate_prox(gam / self.h, (w - z_prev) / self.h)
             xA = z_prev + self.h * u
@@ -282,11 +279,11 @@ class SteppedProblem:
             if it % check_every == 0 or it == max_iter:
                 fp = float(np.abs(delta).max(initial=0.0))
                 rate = (xB - z_prev) / self.h
-                Sigma, resid, viol = self.residual_parts(xB, rate, zhat)
-                best = (xB, Sigma, resid, viol, fp, it)
+                Sigma, resid, viol = self.residual_parts(xB, rate, zhat, Mm_xB)
+                if not (np.isfinite(resid) and np.isfinite(fp)):
+                    break
                 if resid <= step_tol and fp <= fp_tol:
                     return xB, Sigma, StepCertificate(resid, viol, fp, it)
-        xB, Sigma, resid, viol, fp, it = best
         raise StepSolveFailure(-1, resid, fp)
 
     # -- full run --------------------------------------------------------
@@ -321,7 +318,8 @@ class SteppedProblem:
                 raise StepSolveFailure(n + 1, exc.certificate, exc.fixed_point_gap) from exc
             z_nodes[n + 1] = z
             Sigmas[n] = Sigma
-            sigma_E[n] = -self.apply_M(z) + zhat_steps[n]
+            Mz = self.apply_M(z)
+            sigma_E[n] = -Mz + zhat_steps[n]
             certs.append(cert)
             y_warm = z.copy()
 
@@ -331,7 +329,7 @@ class SteppedProblem:
             ig.append(self._g_value_tolerant(Sigma))
             rn.append(self._p_norm(rate, p_star))
             zn.append(self._p_norm(zhat_steps[n], p))
-            MLz = self.apply_M(z) + z @ self.L.T
+            MLz = Mz + z @ self.L.T
             quad.append(0.5 * self._dot(MLz, z) + 0.5 * self.reg * self._dot(z, z))
             If_e.append(self._integral_f(z))
 

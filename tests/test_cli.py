@@ -188,3 +188,41 @@ def test_snapshot_structured_grid_format(tmp_path):
     assert any(l.startswith("DIMENSIONS") for l in lines)
     assert any(l.startswith("POINT_DATA") for l in lines)
     assert any(l.startswith("CELL_DATA") for l in lines)
+
+
+def test_thread_cap_set_before_numpy_import():
+    """FERROSOLVE_THREADS reaches the BLAS variables before numpy loads."""
+    probe = (
+        "import os, sys\n"
+        "seen = []\n"
+        "class Probe:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy' and not seen:\n"
+        "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        "        return None\n"
+        "sys.meta_path.insert(0, Probe())\n"
+        "import ferrosolve.cli\n"
+        "print(seen)\n")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["FERROSOLVE_THREADS"] = "1"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['1']"
+
+
+def test_converge_builds_one_system(tmp_path, monkeypatch):
+    from ferrosolve import elliptic
+
+    built = []
+    init = elliptic.AssembledSystem.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(elliptic.AssembledSystem, "__init__", counting_init)
+    scn = _write(tmp_path, "ref.cfg", REFERENCE)
+    assert main(["converge", scn, "--levels", "2..4", "--out", str(tmp_path / "o")]) == 0
+    assert len(built) == 1

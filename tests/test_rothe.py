@@ -196,6 +196,54 @@ def test_discrete_chain_rule_quadratic_f():
         assert If_b - If_a <= pairing + 1e-12
 
 
+@pytest.mark.parametrize("dim,n", [(1, 6), (2, 3), (3, 2)])
+def test_lam_max_bounds_dense_spectrum(dim, n):
+    """The closed-form step-size bound is at least the largest eigenvalue of
+    M_m, computed from the dense oracle in the volume-weighted inner product."""
+    rng = np.random.default_rng(40 + dim)
+    s = dim * (dim + 1) // 2
+    t = make_tensors(dim, ("isotropic", 1.0, 1.2),
+                     np.diag(rng.uniform(0.8, 1.5, dim)),
+                     coupling=0.4 * rng.standard_normal((dim, s)),
+                     hardening=np.diag(rng.uniform(0.0, 0.5, s + dim)))
+    grid = Grid(dim, n)
+    sys_ = AssembledSystem(grid, t)
+    prob = SteppedProblem(sys_, Quadratic(np.eye(grid.internal_dim)),
+                          PowerLaw(1.0, 2.0), 3, T=1.0)
+    k = grid.internal_dim
+    Mm = (sys_.assemble_M_matrix() + np.kron(np.eye(grid.n_cells), t.L_hard)
+          + prob.reg * np.eye(grid.n_cells * k))
+    w = np.sqrt(np.repeat(grid.volumes, k))
+    S = w[:, None] * Mm / w[None, :]
+    top = np.linalg.eigvalsh(0.5 * (S + S.T)).max()
+    assert prob.lam_max >= top * (1.0 - 1e-12)
+    assert prob.gamma == pytest.approx(0.9 / prob.lam_max)
+
+
+def test_residual_parts_accepts_known_operator_value():
+    grid, prob, zhat, traj, _ = _reference_run(level=3)
+    z = traj.z_nodes[2]
+    rate = (z - traj.z_nodes[1]) / prob.h
+    fresh = prob.residual_parts(z, rate, zhat[1])
+    given = prob.residual_parts(z, rate, zhat[1], prob.apply_Mm(z))
+    assert np.array_equal(fresh[0], given[0]) and fresh[1:] == given[1:]
+
+
+def test_non_finite_step_fails_fast():
+    """A NaN load fails the step at its first check, not after max_iter."""
+    grid = Grid(1, 4)
+    t = make_tensors(1, 1.0, 1.0, coupling=0.5, hardening=0.1)
+    sys_ = AssembledSystem(grid, t)
+    prob = SteppedProblem(sys_, Quadratic(np.eye(2)), PowerLaw(1.0, 2.0), 2, T=1.0)
+    calls = []
+    apply_M = prob.apply_M
+    prob.apply_M = lambda z: calls.append(1) or apply_M(z)
+    zhat = np.full((grid.n_cells, 2), np.nan)
+    with pytest.raises(StepSolveFailure):
+        prob.step(np.zeros((grid.n_cells, 2)), zhat, max_iter=100000, check_every=10)
+    assert len(calls) <= 11
+
+
 def test_unattainable_tolerance_raises():
     grid = Grid(1, 4)
     t = make_tensors(1, 1.0, 1.0, coupling=0.5, hardening=0.1)
