@@ -6,6 +6,12 @@ rate-independent response) and three families play the role of the remanent
 energy f (a quadratic, and two logarithmic saturation energies whose domain
 is bounded in the polarization variable).
 
+Prox maps are closed forms for the quadratic, the power law with p = 2 and
+p = 3, the radial log-saturation energy and the ball indicator.  The
+directional log-saturation energy and power laws with other p use a
+vectorized safeguarded Newton/bisection solve in which every component stops
+on its own.
+
 All operations are vectorized over leading axes; the potential argument
 always lives on the last axis.  Extended-real values are represented with
 ``np.inf``; an infinite value is data, not an error.
@@ -30,26 +36,26 @@ def _solve_monotone(residual, lo, hi, tol=1e-13):
 
     Finds x in [lo, hi] with residual(x)[0] = 0; ``residual`` returns
     (value, derivative).  Falls back to bisection whenever the Newton
-    candidate leaves the bracket.
+    candidate leaves the bracket.  Each component stops, and stays frozen,
+    as soon as its residual vanishes or its bracket is narrow.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
     x = 0.5 * (lo + hi)
+    active = np.ones(x.shape, dtype=bool)
     for _ in range(_MAX_NEWTON):
         val, der = residual(x)
         done = np.abs(val) <= 1e-15 * np.maximum(1.0, np.abs(x))
-        if np.all(done):
-            return x
         hi = np.where(val > 0.0, x, hi)
         lo = np.where(val <= 0.0, x, lo)
-        if np.all(hi - lo <= tol * np.maximum(1.0, np.abs(x))):
+        narrow = hi - lo <= tol * np.maximum(1.0, np.abs(x))
+        active &= ~(done | narrow)
+        if not active.any():
             return x
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = x - val / der
         inside = (newton > lo) & (newton < hi)
-        # components whose residual already vanished must not be moved by
-        # the midpoint fallback of the others
-        x = np.where(done, x, np.where(inside, newton, 0.5 * (lo + hi)))
+        x = np.where(active, np.where(inside, newton, 0.5 * (lo + hi)), x)
     raise NoConvergence("1-d prox solve exceeded iteration budget")
 
 
@@ -129,6 +135,9 @@ class PowerLaw(PotentialSpec):
         n = _norm(v)
         if self.p == 2.0:
             rho = n / (1.0 + 2.0 * lam * self.c)
+        elif self.p == 3.0:
+            # positive root of x + 3 lam c x^2 = n, written without cancellation
+            rho = 2.0 * n / (1.0 + np.sqrt(1.0 + 12.0 * lam * self.c * n))
         else:
             cp = lam * self.c * self.p
 
@@ -256,14 +265,13 @@ class LogSaturationRadial(PotentialSpec):
         v = np.asarray(v, dtype=float)
         n = _norm(v)
         Ps = self.P_s
-        hi = np.minimum(n, Ps * (1.0 - DOMAIN_MARGIN))
-
-        def res(x):
-            val = x + lam * Ps * x / (Ps - x) - n
-            der = 1.0 + lam * Ps ** 2 / (Ps - x) ** 2
-            return val, der
-
-        rho = _solve_monotone(res, np.zeros_like(n), hi)
+        # x + lam Ps x / (Ps - x) = n  <=>  x^2 - b x + n Ps = 0 with
+        # b = Ps (1 + lam) + n; the prox radius is the smaller root, taken in
+        # the cancellation-free form 2 n Ps / (b + sqrt(b^2 - 4 n Ps)) with
+        # b^2 - 4 n Ps = (Ps (1 + lam) - n)^2 + 4 lam n Ps, via hypot
+        a = Ps * (1.0 + lam)
+        root = np.hypot(a - n, 2.0 * np.sqrt(lam * n * Ps))
+        rho = np.minimum(2.0 * Ps * (n / (a + n + root)), Ps * (1.0 - DOMAIN_MARGIN))
         scale = np.where(n > 0.0, rho / np.where(n > 0.0, n, 1.0), 0.0)
         return scale[..., None] * v
 

@@ -21,6 +21,10 @@ from .errors import DomainEscape, StepSolveFailure
 from .potentials import (BallIndicator, PowerLaw, fenchel_residual, full_contains,
                          full_grad, full_prox, full_value)
 
+#: consecutive certificate checks without a new best certificate, at a
+#: converged fixed point, after which a step is declared hopeless
+STALL_CHECKS = 50
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -251,6 +255,17 @@ class SteppedProblem:
         total = float(np.sum(self.vol * np.maximum(resid, 0.0)))
         return Sigma, total, viol
 
+    def rounding_floor(self, rate, Sigma):
+        """eps * sum vol (|g(Sigma)| + |g*(rate)| + |<rate, Sigma>|).
+
+        The roundoff level of the integrated Young-Fenchel residual: a
+        certificate tolerance below it cannot be met.
+        """
+        g_val = 0.0 if isinstance(self.g, BallIndicator) else np.abs(self.g.value(Sigma))
+        terms = (g_val + np.abs(self.g.conjugate_value(rate))
+                 + np.abs(np.sum(rate * Sigma, axis=-1)))
+        return float(np.finfo(float).eps * np.sum(self.vol * terms))
+
     # -- single step -----------------------------------------------------
 
     def step(self, z_prev, zhat, step_tol=1e-6, fp_tol=1e-10, max_iter=100000,
@@ -260,13 +275,16 @@ class SteppedProblem:
         Davis-Yin three-operator splitting: the remanent energy enters by its
         prox (which keeps iterates strictly inside its domain), the rate term
         by the prox of its conjugate, the quadratic by plain gradient steps.
-        A non-finite certificate or fixed-point gap fails the step at once.
+        A non-finite certificate or fixed-point gap fails the step at once;
+        so does a converged fixed point (gap <= fp_tol) whose best
+        certificate has not fallen for STALL_CHECKS consecutive checks.
         """
         z_prev = np.asarray(z_prev, dtype=float)
         if not np.all(full_contains(self.f, z_prev, self.s)):
             raise DomainEscape("previous state left the domain of the remanent energy")
         gam = self.gamma
         y = z_prev.copy() if y0 is None else np.asarray(y0, dtype=float).copy()
+        best, stalled = np.inf, 0
         for it in range(1, max_iter + 1):
             xB = full_prox(self.f, gam, y, self.s)
             Mm_xB = self.apply_Mm(xB)
@@ -284,7 +302,13 @@ class SteppedProblem:
                     break
                 if resid <= step_tol and fp <= fp_tol:
                     return xB, Sigma, StepCertificate(resid, viol, fp, it)
-        raise StepSolveFailure(-1, resid, fp)
+                if resid < best:
+                    best, stalled = resid, 0
+                else:
+                    stalled += 1
+                if stalled >= STALL_CHECKS and fp <= fp_tol:
+                    break
+        raise StepSolveFailure(-1, resid, fp, self.rounding_floor(rate, Sigma))
 
     # -- full run --------------------------------------------------------
 
@@ -315,7 +339,8 @@ class SteppedProblem:
                     z_nodes[n], zhat_steps[n], step_tol=step_tol,
                     fp_tol=fp_tol, max_iter=max_iter, y0=y_warm)
             except StepSolveFailure as exc:
-                raise StepSolveFailure(n + 1, exc.certificate, exc.fixed_point_gap) from exc
+                raise StepSolveFailure(n + 1, exc.certificate, exc.fixed_point_gap,
+                                       exc.rounding_floor) from exc
             z_nodes[n + 1] = z
             Sigmas[n] = Sigma
             Mz = self.apply_M(z)

@@ -188,6 +188,18 @@ def parse_scenario(path_or_text, is_text=False):
             violations.append(f"[{section}] {key} required")
         return default
 
+    def line(section, key):
+        return sec(section).get("__lines__", {}).get(key, 0)
+
+    def scalar(section, key, default, cast=float):
+        txt = get(section, key, default)
+        try:
+            return cast(txt)
+        except ValueError:
+            kind = "an integer" if cast is int else "a number"
+            raise ParseError(line(section, key),
+                             f"[{section}] {key}: expected {kind}, got {txt!r}") from None
+
     # grid -------------------------------------------------------------
     if "grid" not in sections:
         violations.append("[grid] section required")
@@ -218,7 +230,7 @@ def parse_scenario(path_or_text, is_text=False):
         cells = (4,) * dim
 
     lengths_txt = get("grid", "lengths", "1.0")
-    lengths = tuple(_floats(lengths_txt, "[grid] lengths", 0))
+    lengths = tuple(_floats(lengths_txt, "[grid] lengths", line("grid", "lengths")))
     if len(lengths) == 1:
         lengths = lengths * dim
     if len(lengths) != dim or any(x <= 0 for x in lengths):
@@ -257,7 +269,7 @@ def parse_scenario(path_or_text, is_text=False):
         txt = get(section, key, None)
         if txt is None:
             return default
-        nums = np.array(_floats(txt, f"[{section}] {key}", 0))
+        nums = np.array(_floats(txt, f"[{section}] {key}", line(section, key)))
         if nums.size == 1:
             return float(nums[0]) * np.eye(n)
         if nums.size == n:
@@ -273,7 +285,7 @@ def parse_scenario(path_or_text, is_text=False):
     coup_txt = get("tensors", "coupling", None)
     coupling = np.zeros((dim, s_dim))
     if coup_txt is not None:
-        nums = np.array(_floats(coup_txt, "[tensors] coupling", 0))
+        nums = np.array(_floats(coup_txt, "[tensors] coupling", line("tensors", "coupling")))
         if nums.size == 1 and dim == 1:
             coupling = nums.reshape(1, 1)
         elif nums.size == dim * s_dim:
@@ -291,7 +303,7 @@ def parse_scenario(path_or_text, is_text=False):
         f_family = get("potential.f", "family", required=True)
         if f_family == "quadratic":
             txt = get("potential.f", "H", "1.0")
-            nums = np.array(_floats(txt, "[potential.f] H", 0))
+            nums = np.array(_floats(txt, "[potential.f] H", line("potential.f", "H")))
             if nums.size == 1:
                 f_params["H"] = float(nums[0]) * np.eye(k_dim)
             elif nums.size == k_dim:
@@ -302,18 +314,18 @@ def parse_scenario(path_or_text, is_text=False):
                 violations.append(f"[potential.f] H: expected 1, {k_dim} or {k_dim * k_dim} numbers")
                 f_params["H"] = np.eye(k_dim)
         elif f_family == "log_saturation_radial":
-            f_params["P_s"] = float(get("potential.f", "P_s", "1.0"))
+            f_params["P_s"] = scalar("potential.f", "P_s", "1.0")
             if f_params["P_s"] <= 0:
                 violations.append("[potential.f] P_s must be positive")
         elif f_family == "log_saturation_directional":
-            f_params["P_s"] = float(get("potential.f", "P_s", "1.0"))
+            f_params["P_s"] = scalar("potential.f", "P_s", "1.0")
             a_txt = get("potential.f", "a", None)
             if a_txt is None:
                 violations.append("[potential.f] a required for the directional family")
                 f_params["a"] = np.zeros(dim)
                 f_params["a"][0] = 1.0
             else:
-                a = np.array(_floats(a_txt, "[potential.f] a", 0))
+                a = np.array(_floats(a_txt, "[potential.f] a", line("potential.f", "a")))
                 if a.size != dim or not np.linalg.norm(a) > 0:
                     violations.append(f"[potential.f] a: need {dim} numbers, nonzero")
                     a = np.zeros(dim)
@@ -329,25 +341,25 @@ def parse_scenario(path_or_text, is_text=False):
     else:
         g_family = get("potential.g", "family", required=True)
         if g_family == "power_law":
-            g_params["c"] = float(get("potential.g", "c", "1.0"))
-            g_params["p"] = float(get("potential.g", "p", "2.0"))
+            g_params["c"] = scalar("potential.g", "c", "1.0")
+            g_params["p"] = scalar("potential.g", "p", "2.0")
             if g_params["c"] <= 0:
                 violations.append("[potential.g] c must be positive")
             if g_params["p"] < 2:
                 violations.append("[potential.g] p must be >= 2")
         elif g_family == "ball_indicator":
-            g_params["kappa"] = float(get("potential.g", "kappa", "1.0"))
+            g_params["kappa"] = scalar("potential.g", "kappa", "1.0")
             if g_params["kappa"] <= 0:
                 violations.append("[potential.g] kappa must be positive")
         elif g_family is not None:
             violations.append(f"[potential.g] unknown family {g_family!r}")
 
     # time ----------------------------------------------------------------
-    T = float(get("time", "T", "1.0"))
+    T = scalar("time", "T", "1.0")
     if T <= 0:
         violations.append("[time] T must be positive")
         T = 1.0
-    level = int(get("time", "level", "4"))
+    level = scalar("time", "level", "4", int)
     if level < 1:
         violations.append("[time] level must be >= 1")
         level = 1
@@ -419,7 +431,7 @@ def parse_scenario(path_or_text, is_text=False):
                 continue
             z0[ci] = nums[1:]
     elif z_txt is not None:
-        nums = _floats(z_txt, "[initial] z", 0)
+        nums = _floats(z_txt, "[initial] z", line("initial", "z"))
         if len(nums) != k_dim:
             violations.append(f"[initial] z: expected {k_dim} components, got {len(nums)}")
             nums = [0.0] * k_dim
@@ -429,7 +441,8 @@ def parse_scenario(path_or_text, is_text=False):
 
     # checkpoints / tolerances / options -------------------------------------
     ck_txt = sec("checkpoints").get("times")
-    checkpoints = np.array(_floats(ck_txt, "[checkpoints] times", 0)) if ck_txt else np.array([T])
+    checkpoints = (np.array(_floats(ck_txt, "[checkpoints] times", line("checkpoints", "times")))
+                   if ck_txt else np.array([T]))
     if np.any(checkpoints < 0) or np.any(checkpoints > T):
         violations.append("[checkpoints] times must lie in [0, T]")
 
@@ -442,9 +455,9 @@ def parse_scenario(path_or_text, is_text=False):
             except ValueError:
                 violations.append(f"[tolerances] {key}: not a number: {txt!r}")
 
-    seed = int(get("options", "seed", "0"))
-    rw_txt = sec("options").get("reg_weight")
-    reg_weight = float(rw_txt) if rw_txt is not None else None
+    seed = scalar("options", "seed", "0", int)
+    reg_weight = (scalar("options", "reg_weight", None)
+                  if "reg_weight" in sec("options") else None)
 
     # semantic checks needing built objects ----------------------------------
     if not violations:

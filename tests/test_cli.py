@@ -121,6 +121,32 @@ def test_validation_failure_exit_three(tmp_path):
     assert main(["check", scn]) == 3
 
 
+_BAD_SCALARS = [
+    ("T", "T = 1.0", "T = x"),
+    ("level", "level = 4", "level = x"),
+    ("P_s", "family = quadratic\nH = 1.0", "family = log_saturation_radial\nP_s = x"),
+    ("a", "family = quadratic\nH = 1.0",
+     "family = log_saturation_directional\nP_s = 1.0\na = x"),
+    ("c", "family = power_law", "family = power_law\nc = x"),
+    ("p", "family = power_law", "family = power_law\np = x"),
+    ("kappa", "family = power_law", "family = ball_indicator\nkappa = x"),
+    ("seed", "[loads]", "[options]\nseed = x\n\n[loads]"),
+    ("reg_weight", "[loads]", "[options]\nreg_weight = x\n\n[loads]"),
+]
+
+
+@pytest.mark.parametrize("key,old,new", _BAD_SCALARS, ids=[c[0] for c in _BAD_SCALARS])
+def test_bad_scalar_exit_three_with_line(tmp_path, capsys, key, old, new):
+    assert old in REFERENCE
+    text = REFERENCE.replace(old, new)
+    lineno = text.splitlines().index(f"{key} = x") + 1
+    scn = _write(tmp_path, "bad.cfg", text)
+    assert main(["check", scn]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"ParseError: line {lineno}: ")
+    assert key in err
+
+
 def test_missing_file_exit_three(tmp_path):
     assert main(["run", str(tmp_path / "nope.cfg")]) == 3
 

@@ -5,14 +5,19 @@ dense 1-d scans, conjugates against sup-grid evaluation -- every closed form
 has an independent oracle.
 """
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ferrosolve import (BallIndicator, LogSaturationDirectional,
                         LogSaturationRadial, OutsideDomain, PowerLaw,
                         Quadratic, SumPotential, UnsupportedFamily,
                         fenchel_residual, integral_functional)
-from ferrosolve.potentials import full_contains, full_grad, full_prox, full_value
+from ferrosolve.potentials import (DOMAIN_MARGIN, full_contains, full_grad,
+                                   full_prox, full_value)
 
 
 def _fd_grad(fn, x, h=1e-6):
@@ -183,6 +188,106 @@ def test_prox_optimality_condition():
             if np.linalg.norm(p) < 1e-12:
                 continue
             assert np.allclose(v - p, lam * spec.grad(p), atol=1e-9)
+
+
+def _decimal_root(residual, hi, iters=200):
+    """Root in [0, hi] of an increasing residual, bisected in 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        lo, hi = Decimal(0), Decimal(hi)
+        for _ in range(iters):
+            mid = (lo + hi) / 2
+            if residual(mid) > 0:
+                hi = mid
+            else:
+                lo = mid
+        return float((lo + hi) / 2)
+
+
+_LAMS = np.geomspace(1e-6, 50.0, 9)
+_NS = np.geomspace(1e-10, 1e6, 17)
+
+
+@pytest.mark.parametrize("P_s", [0.5, 1.0, 2.0])
+def test_radial_prox_matches_decimal_root(P_s):
+    """|prox| solves x + lam Ps x / (Ps - x) = n, clipped to the domain margin."""
+    spec = LogSaturationRadial(P_s)
+    clip = P_s * (1.0 - DOMAIN_MARGIN)
+    Ps = Decimal(P_s)
+    for lam in _LAMS:
+        lam_d = Decimal(float(lam))
+        got = np.abs(spec.prox(lam, _NS[:, None])[:, 0])
+        for n, x in zip(_NS, got):
+            n_d = Decimal(float(n))
+            ref = _decimal_root(lambda t: t + lam_d * Ps * t / (Ps - t) - n_d,
+                                min(n, P_s))
+            ref = min(ref, clip)
+            assert abs(x - ref) <= 1e-13 * ref, (lam, n, x, ref)
+
+
+@pytest.mark.parametrize("c", [0.3, 1.0, 4.0])
+def test_power_law_p3_prox_matches_decimal_root(c):
+    """|prox| solves x + 3 lam c x^2 = n."""
+    spec = PowerLaw(c, 3.0)
+    c_d = Decimal(c)
+    for lam in _LAMS:
+        lam_d = Decimal(float(lam))
+        got = np.abs(spec.prox(lam, _NS[:, None])[:, 0])
+        for n, x in zip(_NS, got):
+            n_d = Decimal(float(n))
+            ref = _decimal_root(lambda t: t + 3 * lam_d * c_d * t * t - n_d, n)
+            assert abs(x - ref) <= 1e-13 * ref, (lam, n, x, ref)
+
+
+def _mixed_scale_batch(rng, rows=128, dim=2):
+    """Rows spanning 1e-8 .. 1e6 in norm, and one lam in 1e-6 .. 50."""
+    scale = 10.0 ** rng.uniform(-8.0, 6.0, rows)
+    v = rng.standard_normal((rows, dim)) * scale[:, None]
+    lam = float(10.0 ** rng.uniform(-6.0, np.log10(50.0)))
+    return lam, v
+
+
+@pytest.mark.parametrize("spec", [
+    LogSaturationDirectional(1.0, [1.0, 1.0]),
+    PowerLaw(1.0, 4.5),
+], ids=["directional", "power_p4.5"])
+def test_newton_prox_mixed_scale_batches(spec):
+    """A batch solves when every row solves alone, each row to its own stop."""
+    rng = np.random.default_rng(2024)
+    for _ in range(5):
+        lam, v = _mixed_scale_batch(rng)
+        batch = spec.prox(lam, v)
+        rows = np.stack([spec.prox(lam, row) for row in v])
+        assert np.all(np.isfinite(batch))
+        assert np.allclose(batch, rows, rtol=1e-12, atol=1e-13)
+
+
+_PROX_FAMILIES = [
+    PowerLaw(0.7, 2.0), PowerLaw(0.7, 3.0), PowerLaw(0.7, 4.5),
+    BallIndicator(0.6), Quadratic(np.diag([0.5, 3.0])),
+    LogSaturationRadial(1.3), LogSaturationDirectional(1.3, [0.6, -0.8]),
+]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_prox_property_mixed_scales(seed):
+    """On mixed-scale batches every prox is defined, in the domain, nonexpansive.
+
+    The nonexpansiveness slack allows the Newton bracket tolerance
+    1e-13 max(1, |x|) of each of the two evaluations.
+    """
+    rng = np.random.default_rng(seed)
+    lam, u = _mixed_scale_batch(rng)
+    v = u + rng.standard_normal(u.shape) * np.linalg.norm(u, axis=-1)[:, None]
+    for spec in _PROX_FAMILIES:
+        pu, pv = spec.prox(lam, u), spec.prox(lam, v)
+        assert np.all(spec.contains(pu)) and np.all(spec.contains(pv))
+        dist = np.linalg.norm(pu - pv, axis=-1)
+        bound = np.linalg.norm(u - v, axis=-1)
+        slack = 1e-12 * (bound + np.maximum(1.0, np.maximum(
+            np.linalg.norm(pu, axis=-1), np.linalg.norm(pv, axis=-1))))
+        assert np.all(dist <= bound + slack), spec.family
 
 
 def test_ball_prox_is_projection():

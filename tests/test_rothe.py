@@ -256,6 +256,41 @@ def test_unattainable_tolerance_raises():
                  fp_tol=0.0, max_iter=50)
 
 
+def _counted_unattainable_problem():
+    grid = Grid(1, 4)
+    t = make_tensors(1, 1.0, 1.0, coupling=0.5, hardening=0.1)
+    sys_ = AssembledSystem(grid, t)
+    prob = SteppedProblem(sys_, Quadratic(np.eye(2)), PowerLaw(1.0, 2.0), 2, T=1.0)
+    sched = LoadSchedule.uniform([0.0, 1.0], [[1e4], [1e4]], [5e3, 5e3], grid)
+    zhat = average_loads(sys_, sched, prob.time_grid)
+    calls = []
+    apply_M = prob.apply_M
+    prob.apply_M = lambda z: calls.append(1) or apply_M(z)
+    return grid, prob, zhat, calls
+
+
+def test_stalled_step_fails_fast_with_rounding_floor():
+    """A converged fixed point whose certificate stalls above step_tol fails early."""
+    grid, prob, zhat, calls = _counted_unattainable_problem()
+    z0 = np.zeros((grid.n_cells, 2))
+    with pytest.raises(StepSolveFailure) as info:
+        prob.run(z0, zhat, step_tol=1e-20, max_iter=100000)
+    exc = info.value
+    assert exc.certificate > 1e-20 and exc.fixed_point_gap <= 1e-10
+    assert 0.0 < exc.rounding_floor < np.inf
+    assert f"rounding floor {exc.rounding_floor:.3e}" in str(exc)
+    assert len(calls) <= 2000
+
+
+def test_stall_rule_waits_for_the_fixed_point():
+    """While the fixed-point gap is above fp_tol the full budget is spent."""
+    grid, prob, zhat, calls = _counted_unattainable_problem()
+    with pytest.raises(StepSolveFailure):
+        prob.step(np.zeros((grid.n_cells, 2)), zhat[0], step_tol=1e-20,
+                  fp_tol=0.0, max_iter=1500)
+    assert len(calls) == 1500
+
+
 def test_affine_and_constant_interpolants():
     _, _, _, traj, _ = _reference_run(level=3)
     h = traj.time_grid.h
