@@ -33,11 +33,7 @@ _SOLVER_ERRORS = (StepSolveFailure, LinearSolveFailure, SingularSystem,
 
 def _coercivity_gate(scn, override):
     """Refuse the unregularized regime for non-coercive remanent energies."""
-    f_spec = scn.build_f()
-    hardening_definite = False
-    if scn.hardening.any():
-        hardening_definite = bool(np.linalg.eigvalsh(scn.hardening).min() > 1e-12)
-    if not f_spec.coercive and not hardening_definite:
+    if not scn.build_f().coercive and not scn.build_tensors().hardening_definite:
         if override:
             print("warning: remanent energy is not coercive and the hardening "
                   "map vanishes; proceeding under --override-coercivity",
@@ -76,9 +72,11 @@ def _run_level(scn, system, level, outdir):
 
 
 def cmd_run(scn, args):
+    level = args.level if args.level is not None else scn.level
+    if args.level is not None:
+        scn.check_levels("--level", level, level)
     outdir = fio.ensure_outdir(args.out)
     _coercivity_gate(scn, args.override_coercivity)
-    level = args.level if args.level is not None else scn.level
     problem, traj, ledger = _run_level(scn, scn.build_system(), level, outdir)
     worst = max((c.residual for c in traj.certificates), default=0.0)
     print(f"level {level}: {traj.time_grid.n_steps} steps, "
@@ -87,14 +85,11 @@ def cmd_run(scn, args):
 
 
 def cmd_converge(scn, args):
+    m0, m1 = args.levels if args.levels is not None else scn.levels
+    if args.levels is not None:
+        scn.check_levels("--levels", m0, m1)
     outdir = fio.ensure_outdir(args.out)
     _coercivity_gate(scn, args.override_coercivity)
-    if args.levels is not None:
-        m0, m1 = args.levels
-    else:
-        m0, m1 = scn.levels
-    if m1 < m0 or m0 < 1:
-        raise ValidationError([f"levels: need 1 <= m0 <= m1, got {m0}..{m1}"])
 
     system = scn.build_system()
     grid = system.grid
@@ -144,7 +139,7 @@ def cmd_check(scn, args):
     print(f"f family = {f_spec.family}, coercive = {f_spec.coercive}, "
           f"growth = {f_spec.growth_constants}")
     print(f"g family = {g_spec.family}, growth = {g_spec.growth_constants}")
-    print(f"hardening definite = {bool(scn.hardening.any()) and bool(np.linalg.eigvalsh(scn.hardening).min() > 1e-12)}")
+    print(f"hardening definite = {tensors.hardening_definite}")
     return EXIT_OK
 
 

@@ -37,18 +37,21 @@ def _solve_monotone(residual, lo, hi, tol=1e-13):
     Finds x in [lo, hi] with residual(x)[0] = 0; ``residual`` returns
     (value, derivative).  Falls back to bisection whenever the Newton
     candidate leaves the bracket.  Each component stops, and stays frozen,
-    as soon as its residual vanishes or its bracket is narrow.
+    as soon as its residual vanishes relative to the initial bracket (the
+    scale of the residual's terms) or its bracket is narrow relative to the
+    iterate, so roots of any magnitude are resolved to relative accuracy.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
+    scale = np.maximum(np.abs(lo), np.abs(hi))
     x = 0.5 * (lo + hi)
     active = np.ones(x.shape, dtype=bool)
     for _ in range(_MAX_NEWTON):
         val, der = residual(x)
-        done = np.abs(val) <= 1e-15 * np.maximum(1.0, np.abs(x))
+        done = np.abs(val) <= 1e-15 * scale
         hi = np.where(val > 0.0, x, hi)
         lo = np.where(val <= 0.0, x, lo)
-        narrow = hi - lo <= tol * np.maximum(1.0, np.abs(x))
+        narrow = hi - lo <= tol * np.abs(x)
         active &= ~(done | narrow)
         if not active.any():
             return x
@@ -334,7 +337,8 @@ class LogSaturationDirectional(PotentialSpec):
             return val, der
 
         rho = _solve_monotone(res, lo, hi)
-        return v + (rho - proj)[..., None] * self.a
+        # not v + (rho - proj) a, which loses rho in the rounding of a large proj
+        return (v - proj[..., None] * self.a) + rho[..., None] * self.a
 
     def contains(self, v, margin=0.0):
         return np.abs(self._t(v)) < 1.0 - margin

@@ -8,27 +8,19 @@ parse -> serialize -> parse the identity on the canonical form.
 """
 
 import io as _io
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .elliptic import AssembledSystem
 from .errors import ParseError, ValidationError
 from .grid import Grid
+from .packing import internal_dim
 from .potentials import (BallIndicator, LogSaturationDirectional,
                          LogSaturationRadial, PowerLaw, Quadratic, full_contains)
 from .rothe import LoadSchedule, SteppedProblem, TimeGrid
 from .tensors import make_tensors
-
-_SECTIONS = ("grid", "tensors", "potential.f", "potential.g", "time",
-             "loads", "initial", "checkpoints", "tolerances", "options")
-
-_DEFAULT_TOLS = {
-    "step_tol": 1e-6,
-    "tol_energy": 1e-8,
-    "tol_mvs": 1e-5,
-    "linear_tol": 1e-10,
-}
 
 
 @dataclass
@@ -37,6 +29,42 @@ class Tolerances:
     tol_energy: float = 1e-8
     tol_mvs: float = 1e-5
     linear_tol: float = 1e-10
+
+
+_TOLERANCE_KEYS = tuple(f.name for f in fields(Tolerances))
+
+#: the keys each section accepts; ``row`` is the one repeatable key
+_SECTIONS = {
+    "grid": ("dim", "cells", "lengths"),
+    "tensors": ("elastic", "dielectric", "coupling", "hardening"),
+    "potential.f": ("family", "H", "P_s", "a"),
+    "potential.g": ("family", "c", "p", "kappa"),
+    "time": ("T", "level", "levels"),
+    "loads": ("row",),
+    "initial": ("z", "row"),
+    "checkpoints": ("times",),
+    "tolerances": _TOLERANCE_KEYS,
+    "options": ("seed", "reg_weight"),
+}
+
+#: bound on n_cells * k * 2**level, the size of one per-step trajectory array
+MAX_TRAJECTORY_VALUES = 2 ** 24
+
+
+def level_violations(what, m0, m1, n_cells, k):
+    """Problems with the level range m0..m1 on a grid of n_cells cells.
+
+    Levels start at 1, and the finest level may not make a trajectory array
+    (2**m1 steps of n_cells * k values) larger than MAX_TRAJECTORY_VALUES.
+    """
+    if not 1 <= m0 <= m1:
+        if m0 == m1:
+            return [f"{what}: need a level >= 1, got {m0}"]
+        return [f"{what}: need 1 <= m0 <= m1, got {m0}..{m1}"]
+    if n_cells * k * 2 ** min(m1, 64) > MAX_TRAJECTORY_VALUES:
+        return [f"{what}: level {m1} gives {n_cells} cells x {k} components x "
+                f"2**{m1} steps, more than {MAX_TRAJECTORY_VALUES} values"]
+    return []
 
 
 @dataclass
@@ -66,6 +94,14 @@ class Scenario:
     tolerances: Tolerances
     seed: int
     reg_weight: float | None
+
+    def check_levels(self, what, m0, m1):
+        """Raise ValidationError unless m0..m1 is a level range this
+        scenario's grid can be solved at (see :func:`level_violations`)."""
+        n_cells = int(np.prod(self.cells_per_axis)) * math.factorial(self.dim)
+        violations = level_violations(what, m0, m1, n_cells, internal_dim(self.dim))
+        if violations:
+            raise ValidationError(violations)
 
     # -- instantiation --------------------------------------------------
 
@@ -124,16 +160,18 @@ class Scenario:
 
 def _floats(text, where, line):
     try:
-        return [float(tok) for tok in text.split()]
+        nums = [float(tok) for tok in text.split()]
     except ValueError:
         raise ParseError(line, f"expected numbers for {where}, got {text!r}") from None
+    if not all(math.isfinite(x) for x in nums):
+        raise ValidationError([f"{where} at line {line}: non-finite value in {text!r}"])
+    return nums
 
 
 def _parse_raw(text):
     """Tokenize into {section: {key: value-or-list-of-row-values}}."""
     sections = {}
     current = None
-    rows_keys = {"row"}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -145,6 +183,7 @@ def _parse_raw(text):
             if name not in _SECTIONS:
                 raise ParseError(lineno, f"unknown section [{name}]")
             current = sections.setdefault(name, {"__lines__": {}})
+            accepted = _SECTIONS[name]
             continue
         if current is None:
             raise ParseError(lineno, "content before any section header")
@@ -153,7 +192,9 @@ def _parse_raw(text):
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ParseError(lineno, "empty key")
-        if key in rows_keys:
+        if key not in accepted:
+            raise ParseError(lineno, f"unknown key {key!r} in [{name}]")
+        if key == "row":
             current.setdefault(key, []).append((lineno, value))
         else:
             if key in current:
@@ -194,11 +235,15 @@ def parse_scenario(path_or_text, is_text=False):
     def scalar(section, key, default, cast=float):
         txt = get(section, key, default)
         try:
-            return cast(txt)
+            value = cast(txt)
         except ValueError:
             kind = "an integer" if cast is int else "a number"
             raise ParseError(line(section, key),
                              f"[{section}] {key}: expected {kind}, got {txt!r}") from None
+        if not math.isfinite(value):
+            raise ValidationError([f"[{section}] {key} at line {line(section, key)}: "
+                                   f"non-finite value {txt!r}"])
+        return value
 
     # grid -------------------------------------------------------------
     if "grid" not in sections:
@@ -228,6 +273,7 @@ def parse_scenario(path_or_text, is_text=False):
     if len(cells) != dim or any(c < 1 for c in cells):
         violations.append(f"[grid] cells {cells} incompatible with dim {dim}")
         cells = (4,) * dim
+    n_cells_total = int(np.prod(cells)) * math.factorial(dim)   # Kuhn: dim! per box
 
     lengths_txt = get("grid", "lengths", "1.0")
     lengths = tuple(_floats(lengths_txt, "[grid] lengths", line("grid", "lengths")))
@@ -245,16 +291,11 @@ def parse_scenario(path_or_text, is_text=False):
         if len(toks) != 3:
             violations.append("[tensors] elastic isotropic needs two parameters")
         else:
-            try:
-                elastic = ("isotropic", float(toks[1]), float(toks[2]))
-            except ValueError:
-                violations.append(f"[tensors] elastic: bad numbers {elastic_txt!r}")
+            lam, mu = _floats(" ".join(toks[1:]), "[tensors] elastic",
+                              line("tensors", "elastic"))
+            elastic = ("isotropic", lam, mu)
     else:
-        try:
-            nums = np.array([float(t) for t in toks])
-        except ValueError:
-            violations.append(f"[tensors] elastic: {elastic_txt!r}")
-            nums = np.array([1.0])
+        nums = np.array(_floats(elastic_txt, "[tensors] elastic", line("tensors", "elastic")))
         if nums.size == 1:
             elastic = ("full", float(nums[0]) * np.eye(s_dim))
         elif nums.size == s_dim:
@@ -360,9 +401,7 @@ def parse_scenario(path_or_text, is_text=False):
         violations.append("[time] T must be positive")
         T = 1.0
     level = scalar("time", "level", "4", int)
-    if level < 1:
-        violations.append("[time] level must be >= 1")
-        level = 1
+    violations += level_violations("[time] level", level, level, n_cells_total, k_dim)
     levels_txt = get("time", "levels", None)
     if levels_txt is None:
         levels = (max(1, level - 2), level)
@@ -372,10 +411,7 @@ def parse_scenario(path_or_text, is_text=False):
         except ValueError:
             violations.append(f"[time] levels: expected two integers, got {levels_txt!r}")
             m0, m1 = 1, level
-        if m1 < m0 or m0 < 1:
-            violations.append(f"[time] levels: need 1 <= m0 <= m1, got {m0}..{m1}")
-            m0, m1 = min(m0, m1), max(m0, m1)
-            m0 = max(m0, 1)
+        violations += level_violations("[time] levels", m0, m1, n_cells_total, k_dim)
         levels = (m0, m1)
 
     # loads ----------------------------------------------------------------
@@ -411,7 +447,6 @@ def parse_scenario(path_or_text, is_text=False):
         load_q = np.zeros(2)
 
     # initial ---------------------------------------------------------------
-    n_cells_total = int(np.prod(cells)) * {1: 1, 2: 2, 3: 6}[dim]
     z_txt = sec("initial").get("z")
     z_rows = sec("initial").get("row", [])
     z0_uniform = True
@@ -446,14 +481,8 @@ def parse_scenario(path_or_text, is_text=False):
     if np.any(checkpoints < 0) or np.any(checkpoints > T):
         violations.append("[checkpoints] times must lie in [0, T]")
 
-    tols = Tolerances()
-    for key in _DEFAULT_TOLS:
-        txt = sec("tolerances").get(key)
-        if txt is not None:
-            try:
-                setattr(tols, key, float(txt))
-            except ValueError:
-                violations.append(f"[tolerances] {key}: not a number: {txt!r}")
+    tols = Tolerances(**{key: scalar("tolerances", key, getattr(Tolerances, key))
+                         for key in _TOLERANCE_KEYS})
 
     seed = scalar("options", "seed", "0", int)
     reg_weight = (scalar("options", "reg_weight", None)
@@ -552,7 +581,7 @@ def serialize_scenario(scn):
     w("\n[checkpoints]\n")
     w(f"times = {_fmt_seq(scn.checkpoints)}\n")
     w("\n[tolerances]\n")
-    for key in _DEFAULT_TOLS:
+    for key in _TOLERANCE_KEYS:
         w(f"{key} = {_fmt(getattr(scn.tolerances, key))}\n")
     w("\n[options]\n")
     w(f"seed = {scn.seed}\n")

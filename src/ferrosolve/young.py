@@ -1,11 +1,14 @@
 """Empirical parametrized-measure diagnostics for level families.
 
 Trajectories computed at several dyadic levels are pooled into one discrete
-probability measure per coarse space-time cell.  The diagnostics quantify
-whether the family collapses (spread of the atoms shrinks with the level),
-whether the averaged driving force converges to the gradient of the remanent
-energy at the barycenter, and whether the weak solution inequality holds for
-the empirical measure within tolerance.
+probability measure per coarse space-time cell.  The pooling is one sorted
+pass: every atom is labelled by its partition cell, the labels are stably
+sorted once, and the weight sums, first moments, spreads and averaged driving
+forces are segment sums (``np.add.reduceat``) over the sorted atoms.  The
+diagnostics quantify whether the family collapses (spread of the atoms
+shrinks with the level), whether the averaged driving force converges to the
+gradient of the remanent energy at the barycenter, and whether the weak
+solution inequality holds for the empirical measure within tolerance.
 """
 
 from dataclasses import dataclass
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AtomOutsideDomain, MismatchedScenario
-from .potentials import BallIndicator, fenchel_residual, full_contains, full_grad, full_value
+from .potentials import BallIndicator, full_contains, full_grad
 
 
 @dataclass(frozen=True)
@@ -43,7 +46,8 @@ class EmpiricalYoungMeasure:
     """Weighted atoms per (time bin, cell group) of a reference partition.
 
     atoms[i][j] is an (n_ij, k) array, weights[i][j] an (n_ij,) probability
-    vector; first_moment and spread are (nt, ng, k) and (nt, ng).
+    vector (for built measures, views into one array of sorted atoms and one
+    of weights); first_moment and spread are (nt, ng, k) and (nt, ng).
     """
 
     partition: ReferencePartition
@@ -57,57 +61,84 @@ class EmpiricalYoungMeasure:
         return float(self.spread.max(initial=0.0))
 
 
+def _check_family(trajectories):
+    """(n_cells, k) of a level family that shares its grid and final time."""
+    if not trajectories:
+        raise ValueError("need at least one trajectory")
+    T = trajectories[0].time_grid.T
+    _, n_cells, k = trajectories[0].z_nodes.shape
+    for tr in trajectories:
+        if tr.time_grid.T != T or tr.z_nodes.shape[1] != n_cells:
+            raise MismatchedScenario(
+                "trajectories disagree on the final time or the grid")
+    return n_cells, k
+
+
+def _segment_sum(x, counts):
+    """Sums along axis 0 of the consecutive segments of x of lengths counts.
+
+    Each segment is led by a zero, so that ``np.add.reduceat`` adds it in the
+    same pairwise order as ``np.sum`` of the segment alone (reduceat starts
+    from a segment's first element) and an empty segment sums to zero.
+    """
+    starts = np.cumsum(counts) - counts
+    padded = np.insert(x, starts, 0.0, axis=0)
+    return np.add.reduceat(padded, starts + np.arange(len(counts)), axis=0)
+
+
+def _pooled_moments(atoms, weights, counts):
+    """First moment (n_seg, k) and spread (n_seg,) of each segment of atoms
+    under its (already normalized) weights."""
+    first = _segment_sum(weights[:, None] * atoms, counts)
+    dev = np.sum((atoms - np.repeat(first, counts, axis=0)) ** 2, axis=-1)
+    return first, np.sqrt(_segment_sum(weights * dev, counts))
+
+
+def _rows(flat, counts, ng):
+    """Split flat along axis 0 into segments (views), ng segments per row."""
+    ends = np.cumsum(counts).tolist()
+    segs = [flat[e - c:e] for e, c in zip(ends, counts.tolist())]
+    return [segs[i:i + ng] for i in range(0, len(segs), ng)]
+
+
 def build_measure(trajectories, volumes, partition):
     """Pool piecewise-constant interpolant values of several levels.
 
     Each step of each trajectory contributes one atom per grid cell with
     weight h * volume; weights are normalized per partition cell.  All
-    trajectories must share the grid and final time.
+    trajectories must share the grid and final time.  Every atom is labelled
+    by its (time bin, cell group) and the labels are stably sorted once, so a
+    partition cell holds its atoms in the order trajectory, step, position in
+    the group; the moments are segment sums over the sorted atoms.
     """
-    if not trajectories:
-        raise ValueError("need at least one trajectory")
-    T = trajectories[0].time_grid.T
-    n_cells = trajectories[0].z_nodes.shape[1]
-    for tr in trajectories:
-        if tr.time_grid.T != T or tr.z_nodes.shape[1] != n_cells:
-            raise MismatchedScenario(
-                "trajectories disagree on the final time or the grid")
+    _, k = _check_family(trajectories)
     edges = np.asarray(partition.time_edges, dtype=float)
     nt = len(edges) - 1
     ng = len(partition.cell_groups)
-    k = trajectories[0].z_nodes.shape[2]
+    cells = np.concatenate(partition.cell_groups)
+    group = np.repeat(np.arange(ng), [len(g) for g in partition.cell_groups])
 
-    atoms = [[[] for _ in range(ng)] for _ in range(nt)]
-    wts = [[[] for _ in range(ng)] for _ in range(nt)]
+    labels, atoms, wts = [], [], []
     for tr in trajectories:
         h = tr.time_grid.h
         mids = (np.arange(tr.time_grid.n_steps) + 0.5) * h
         bins = np.clip(np.searchsorted(edges, mids, side="right") - 1, 0, nt - 1)
-        for n, i in enumerate(bins):
-            zn = tr.z_nodes[n + 1]
-            for j, group in enumerate(partition.cell_groups):
-                atoms[i][j].append(zn[group])
-                wts[i][j].append(h * volumes[group])
-
-    out_atoms, out_w = [], []
-    first = np.zeros((nt, ng, k))
-    spread = np.zeros((nt, ng))
-    for i in range(nt):
-        row_a, row_w = [], []
-        for j in range(ng):
-            a = np.concatenate(atoms[i][j], axis=0)
-            w = np.concatenate(wts[i][j])
-            w = w / w.sum()
-            row_a.append(a)
-            row_w.append(w)
-            bar = w @ a
-            first[i, j] = bar
-            spread[i, j] = np.sqrt(w @ np.sum((a - bar) ** 2, axis=-1))
-        out_atoms.append(row_a)
-        out_w.append(row_w)
+        labels.append((bins[:, None] * ng + group).ravel())
+        atoms.append(tr.z_nodes[1:, cells].reshape(-1, k))
+        wts.append(np.tile(h * volumes[cells], len(bins)))
+    labels = np.concatenate(labels)
+    counts = np.bincount(labels, minlength=nt * ng)
+    empty = np.flatnonzero(~counts.reshape(nt, ng).any(axis=1))
+    if len(empty):
+        raise ValueError(f"time bin {empty[0]} of the partition holds no step")
+    order = np.argsort(labels, kind="stable")
+    a = np.concatenate(atoms)[order]
+    w = np.concatenate(wts)[order]
+    w /= np.repeat(_segment_sum(w, counts), counts)
+    first, spread = _pooled_moments(a, w, counts)
     return EmpiricalYoungMeasure(
-        partition=partition, atoms=out_atoms, weights=out_w,
-        first_moment=first, spread=spread,
+        partition=partition, atoms=_rows(a, counts, ng), weights=_rows(w, counts, ng),
+        first_moment=first.reshape(nt, ng, k), spread=spread.reshape(nt, ng),
     )
 
 
@@ -119,36 +150,19 @@ def measure_at_time(trajectories, volumes, t, grid_cells_as_groups=True):
     collapse of these measures to a Dirac as the levels refine is the
     discrete signature of a strong (single-valued) limit.
     """
-    if not trajectories:
-        raise ValueError("need at least one trajectory")
-    T = trajectories[0].time_grid.T
-    n_cells = trajectories[0].z_nodes.shape[1]
-    for tr in trajectories:
-        if tr.time_grid.T != T or tr.z_nodes.shape[1] != n_cells:
-            raise MismatchedScenario(
-                "trajectories disagree on the final time or the grid")
-    k = trajectories[0].z_nodes.shape[2]
+    n_cells, k = _check_family(trajectories)
     hs = np.array([tr.time_grid.h for tr in trajectories])
     wts = hs / hs.sum()
     groups = tuple(np.array([c]) for c in range(n_cells))
     part = ReferencePartition(time_edges=np.array([t, t]), cell_groups=groups)
-    samples = np.stack([tr.z_const(t) for tr in trajectories])   # (nl, nc, k)
-
-    atoms, weights = [], []
-    first = np.zeros((1, n_cells, k))
-    spread = np.zeros((1, n_cells))
-    row_a, row_w = [], []
-    for c in range(n_cells):
-        a = samples[:, c, :]
-        row_a.append(a)
-        row_w.append(wts.copy())
-        bar = wts @ a
-        first[0, c] = bar
-        spread[0, c] = np.sqrt(wts @ np.sum((a - bar) ** 2, axis=-1))
-    atoms.append(row_a)
-    weights.append(row_w)
-    return EmpiricalYoungMeasure(partition=part, atoms=atoms, weights=weights,
-                                 first_moment=first, spread=spread)
+    # (n_cells * n_levels, k): the atoms of cell c are rows c*nl .. (c+1)*nl
+    a = np.stack([tr.z_const(t) for tr in trajectories], axis=1).reshape(-1, k)
+    w = np.tile(wts, n_cells)
+    counts = np.full(n_cells, len(trajectories))
+    first, spread = _pooled_moments(a, w, counts)
+    return EmpiricalYoungMeasure(
+        partition=part, atoms=_rows(a, counts, n_cells), weights=_rows(w, counts, n_cells),
+        first_moment=first[None], spread=spread[None])
 
 
 def eval_F(measure, f_spec, strain_dim):
@@ -156,15 +170,17 @@ def eval_F(measure, f_spec, strain_dim):
     nt = len(measure.atoms)
     ng = len(measure.atoms[0])
     k = measure.first_moment.shape[-1]
-    out = np.zeros((nt, ng, k))
-    for i in range(nt):
-        for j in range(ng):
-            a = measure.atoms[i][j]
-            if not np.all(full_contains(f_spec, a, strain_dim)):
-                raise AtomOutsideDomain(
-                    f"atom outside the domain of the remanent energy in bin ({i}, {j})")
-            out[i, j] = measure.weights[i][j] @ full_grad(f_spec, a, strain_dim)
-    return out
+    counts = np.array([len(w) for row in measure.weights for w in row])
+    atoms = np.concatenate([a for row in measure.atoms for a in row])
+    weights = np.concatenate([w for row in measure.weights for w in row])
+    inside = np.atleast_1d(full_contains(f_spec, atoms, strain_dim))
+    if not inside.all():
+        i, j = divmod(int(np.searchsorted(np.cumsum(counts), np.argmin(inside),
+                                          side="right")), ng)
+        raise AtomOutsideDomain(
+            f"atom outside the domain of the remanent energy in bin ({i}, {j})")
+    grad = full_grad(f_spec, atoms, strain_dim)
+    return _segment_sum(weights[:, None] * grad, counts).reshape(nt, ng, k)
 
 
 @dataclass
@@ -251,10 +267,7 @@ def convergence_study(results, f_spec, strain_dim, volumes, partition):
         mu = build_measure(trajs[:i], volumes, partition)
         spreads.append(mu.max_spread)
         F = eval_F(mu, f_spec, strain_dim)
-        nt, ng, k = F.shape
-        grad_bar = np.zeros_like(F)
-        for a in range(nt):
-            grad_bar[a] = full_grad(f_spec, mu.first_moment[a], strain_dim)
+        grad_bar = full_grad(f_spec, mu.first_moment, strain_dim)
         F_dev.append(float(np.abs(F - grad_bar).max(initial=0.0)))
 
     final_diffs = []

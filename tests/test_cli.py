@@ -252,3 +252,101 @@ def test_converge_builds_one_system(tmp_path, monkeypatch):
     scn = _write(tmp_path, "ref.cfg", REFERENCE)
     assert main(["converge", scn, "--levels", "2..4", "--out", str(tmp_path / "o")]) == 0
     assert len(built) == 1
+
+
+def test_unknown_key_exit_three_with_line(tmp_path, capsys):
+    text = REFERENCE.replace("T = 1.0", "T = 1.0\nbogus = 3")
+    lineno = text.splitlines().index("bogus = 3") + 1
+    scn = _write(tmp_path, "bad.cfg", text)
+    assert main(["run", scn, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"ParseError: line {lineno}: unknown key 'bogus' in [time]")
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_row_key_only_in_table_sections(tmp_path, capsys):
+    text = REFERENCE.replace("T = 1.0", "T = 1.0\nrow = 0.0")
+    scn = _write(tmp_path, "bad.cfg", text)
+    assert main(["check", scn]) == 3
+    assert "unknown key 'row' in [time]" in capsys.readouterr().err
+
+
+_NON_FINITE = [
+    ("loads", "row = 1.0 0.8 0.4", "row = 1.0 nan 0.4", "[loads] row"),
+    ("T", "T = 1.0", "T = inf", "[time] T"),
+    ("step_tol", "levels = 3 4", "levels = 3 4\n\n[tolerances]\nstep_tol = nan",
+     "[tolerances] step_tol"),
+    ("elastic", "elastic = 2.0", "elastic = -inf", "[tensors] elastic"),
+]
+
+
+@pytest.mark.parametrize("name,old,new,key", _NON_FINITE,
+                         ids=[c[0] for c in _NON_FINITE])
+def test_non_finite_value_exit_three_with_line(tmp_path, capsys, name, old, new, key):
+    assert old in REFERENCE
+    text = REFERENCE.replace(old, new)
+    bad = new.splitlines()[-1]
+    lineno = text.splitlines().index(bad) + 1
+    scn = _write(tmp_path, "bad.cfg", text)
+    assert main(["run", scn, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"ValidationError: {key} at line {lineno}: non-finite")
+
+
+def test_run_level_zero_exit_three(tmp_path, capsys):
+    scn = _write(tmp_path, "ref.cfg", REFERENCE)
+    assert main(["run", scn, "--level", "0", "--out", str(tmp_path / "o")]) == 3
+    assert "--level: need a level >= 1, got 0" in capsys.readouterr().err
+
+
+def test_huge_level_rejected_by_check(tmp_path, capsys):
+    scn = _write(tmp_path, "big.cfg", REFERENCE.replace("level = 4", "level = 40"))
+    assert main(["check", scn]) == 3
+    assert "[time] level: level 40" in capsys.readouterr().err
+
+
+def test_huge_levels_rejected(tmp_path, capsys):
+    scn = _write(tmp_path, "big.cfg", REFERENCE.replace("levels = 3 4", "levels = 3 40"))
+    assert main(["check", scn]) == 3
+    assert "[time] levels: level 40" in capsys.readouterr().err
+    scn = _write(tmp_path, "ref.cfg", REFERENCE)
+    assert main(["converge", scn, "--levels", "3..40", "--out", str(tmp_path / "o")]) == 3
+    assert "--levels: level 40" in capsys.readouterr().err
+    assert main(["run", scn, "--level", "1000000000", "--out", str(tmp_path / "o")]) == 3
+
+
+def test_level_bound_is_the_trajectory_size():
+    from ferrosolve.scenario import MAX_TRAJECTORY_VALUES, level_violations
+
+    n_cells, k = MAX_TRAJECTORY_VALUES // 2 ** 10, 2
+    assert level_violations("m", 1, 9, n_cells, k) == []
+    assert level_violations("m", 1, 10, n_cells, k) != []
+    assert level_violations("m", 1, 10 ** 9, 1, 1) != []
+    assert level_violations("m", 0, 3, 1, 1) != []
+    assert level_violations("m", 4, 3, 1, 1) != []
+
+
+_HARDENING = [
+    ("definite", "hardening = 0.5", True),
+    ("zero", "", False),
+    ("semidefinite", "hardening = 0.5 0.5 0.5 0.5 0.0", False),
+    ("tiny", "hardening = 1e-13", False),
+]
+
+
+@pytest.mark.parametrize("name,line,definite", _HARDENING,
+                         ids=[c[0] for c in _HARDENING])
+def test_check_reports_hardening_definiteness(tmp_path, capsys, name, line, definite):
+    """The last line of `check` against an independent eigenvalue oracle."""
+    import numpy as np
+
+    text = NONCOERCIVE.replace("dielectric = 1.0", "dielectric = 1.0\n" + line)
+    scn = _write(tmp_path, "h.cfg", text)
+    nums = [float(t) for t in line.split("=")[1].split()] if line else [0.0]
+    H = np.diag(np.broadcast_to(nums, (5,)))
+    assert bool(H.any() and np.linalg.eigvalsh(H).min() > 1e-12) == definite
+    assert main(["check", scn, "--override-coercivity"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [ln.split(" = ")[0] for ln in out] == [
+        "c0", "lambda_min_D", "f family", "g family", "hardening definite"]
+    assert out[-1] == f"hardening definite = {definite}"

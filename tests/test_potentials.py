@@ -239,6 +239,40 @@ def test_power_law_p3_prox_matches_decimal_root(c):
             assert abs(x - ref) <= 1e-13 * ref, (lam, n, x, ref)
 
 
+@pytest.mark.parametrize("c", [0.3, 1.0, 4.0])
+def test_power_law_newton_prox_matches_decimal_root(c):
+    """|prox| solves x + 4.5 lam c x^3.5 = n to 1e-12 relative, n >= 1e-10."""
+    spec = PowerLaw(c, 4.5)
+    for lam in _LAMS:
+        cp = Decimal(float(lam)) * Decimal(c) * Decimal("4.5")
+        got = np.abs(spec.prox(lam, _NS[:, None])[:, 0])
+        for n, x in zip(_NS, got):
+            n_d = Decimal(float(n))
+            ref = _decimal_root(lambda t: t + cp * t * t * t * t.sqrt() - n_d, n)
+            assert abs(x - ref) <= 1e-12 * ref, (lam, n, x, ref)
+
+
+@pytest.mark.parametrize("P_s, a", [(0.5, [1.0, 0.0]), (1.0, [0.0, -1.0]),
+                                    (2.0, [1.0, 0.0])])
+def test_directional_prox_matches_decimal_root(P_s, a):
+    """Along a, the prox solves x + lam artanh(x / Ps) = n to 1e-12
+    relative, clipped to the domain margin, for n >= 1e-10."""
+    spec = LogSaturationDirectional(P_s, a)
+    clip = P_s * (1.0 - DOMAIN_MARGIN)
+    Ps = Decimal(P_s)
+    for lam in _LAMS:
+        lam_d = Decimal(float(lam))
+        got = spec.prox(lam, _NS[:, None] * spec.a) @ spec.a
+        for n, x in zip(_NS, got):
+            n_d = Decimal(float(n))
+
+            def res(t):
+                return t + lam_d * ((Ps + t) / (Ps - t)).ln() / 2 - n_d
+
+            ref = min(_decimal_root(res, min(n, clip)), clip)
+            assert abs(x - ref) <= 1e-12 * ref, (lam, n, x, ref)
+
+
 def _mixed_scale_batch(rng, rows=128, dim=2):
     """Rows spanning 1e-8 .. 1e6 in norm, and one lam in 1e-6 .. 50."""
     scale = 10.0 ** rng.uniform(-8.0, 6.0, rows)
@@ -274,8 +308,8 @@ _PROX_FAMILIES = [
 def test_prox_property_mixed_scales(seed):
     """On mixed-scale batches every prox is defined, in the domain, nonexpansive.
 
-    The nonexpansiveness slack allows the Newton bracket tolerance
-    1e-13 max(1, |x|) of each of the two evaluations.
+    The nonexpansiveness slack covers the relative Newton stop of each of
+    the two evaluations.
     """
     rng = np.random.default_rng(seed)
     lam, u = _mixed_scale_batch(rng)

@@ -177,3 +177,52 @@ def test_comments_and_blank_lines_ignored():
     text = "# leading comment\n\n" + MINIMAL + "\n# trailing\n"
     scn = parse_scenario(text, is_text=True)
     assert scn.dim == 1
+
+
+_SERIALIZED = [
+    REFERENCE + "\n[options]\nseed = 3\nreg_weight = 0.125\n",
+    """
+[grid]
+dim = 2
+cells = 2 3
+lengths = 1.0 2.0
+
+[tensors]
+elastic = isotropic 1.0 0.5
+hardening = 0.5
+
+[potential.f]
+family = log_saturation_directional
+P_s = 1.5
+a = 1.0 1.0
+
+[potential.g]
+family = ball_indicator
+kappa = 0.25
+
+[initial]
+row = 3 0.0 0.0 0.0 0.1 0.0
+""",
+    MINIMAL.replace("family = quadratic\nH = 1.0",
+                    "family = log_saturation_radial\nP_s = 2.0"),
+]
+
+
+@pytest.mark.parametrize("text", _SERIALIZED, ids=["power", "directional", "radial"])
+def test_every_serialized_key_is_accepted(text):
+    canonical = serialize_scenario(parse_scenario(text, is_text=True))
+    keys = ["seed", "step_tol", "tol_energy", "tol_mvs", "linear_tol"]
+    if "reg_weight" in text:
+        keys.append("reg_weight")
+    for key in keys:
+        assert f"\n{key} = " in canonical
+    assert serialize_scenario(parse_scenario(canonical, is_text=True)) == canonical
+
+
+def test_non_finite_number_list_rejected_with_line():
+    text = MINIMAL + "\n[checkpoints]\ntimes = 0.5 nan\n"
+    with pytest.raises(ValidationError) as exc:
+        parse_scenario(text, is_text=True)
+    lineno = text.splitlines().index("times = 0.5 nan") + 1
+    assert exc.value.violations == [
+        f"[checkpoints] times at line {lineno}: non-finite value in '0.5 nan'"]

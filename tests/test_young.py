@@ -7,7 +7,9 @@ from ferrosolve import (AssembledSystem, AtomOutsideDomain, Grid,
                         LoadSchedule, LogSaturationRadial, MismatchedScenario,
                         PowerLaw, Quadratic, SteppedProblem, average_loads,
                         build_measure, convergence_study, eval_F,
-                        make_tensors, mvs_residual, uniform_partition)
+                        make_tensors, measure_at_time, mvs_residual,
+                        uniform_partition)
+from ferrosolve.potentials import full_contains, full_grad
 from ferrosolve.young import ReferencePartition
 
 
@@ -244,3 +246,168 @@ def test_zero_scenario_study_all_zero():
     study = convergence_study(results, f, 1, grid.volumes, part)
     assert max(study["final_state_diffs"]) == 0.0
     assert max(study["pooled_spreads"]) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Independent oracles for the sorted segment-sum pooling: the per-bin loops
+# that pooled the measures before, kept here verbatim in substance.
+
+
+def _oracle_build(trajectories, volumes, partition):
+    edges = np.asarray(partition.time_edges, dtype=float)
+    nt = len(edges) - 1
+    ng = len(partition.cell_groups)
+    k = trajectories[0].z_nodes.shape[2]
+    atoms = [[[] for _ in range(ng)] for _ in range(nt)]
+    wts = [[[] for _ in range(ng)] for _ in range(nt)]
+    for tr in trajectories:
+        h = tr.time_grid.h
+        mids = (np.arange(tr.time_grid.n_steps) + 0.5) * h
+        bins = np.clip(np.searchsorted(edges, mids, side="right") - 1, 0, nt - 1)
+        for n, i in enumerate(bins):
+            zn = tr.z_nodes[n + 1]
+            for j, group in enumerate(partition.cell_groups):
+                atoms[i][j].append(zn[group])
+                wts[i][j].append(h * volumes[group])
+    out_atoms, out_w = [], []
+    first = np.zeros((nt, ng, k))
+    spread = np.zeros((nt, ng))
+    for i in range(nt):
+        row_a, row_w = [], []
+        for j in range(ng):
+            a = np.concatenate(atoms[i][j], axis=0)
+            w = np.concatenate(wts[i][j])
+            w = w / w.sum()
+            row_a.append(a)
+            row_w.append(w)
+            bar = w @ a
+            first[i, j] = bar
+            spread[i, j] = np.sqrt(w @ np.sum((a - bar) ** 2, axis=-1))
+        out_atoms.append(row_a)
+        out_w.append(row_w)
+    return out_atoms, out_w, first, spread
+
+
+def _oracle_eval_F(atoms, weights, f_spec, strain_dim):
+    nt, ng = len(atoms), len(atoms[0])
+    out = np.zeros((nt, ng, atoms[0][0].shape[-1]))
+    for i in range(nt):
+        for j in range(ng):
+            a = atoms[i][j]
+            if not np.all(full_contains(f_spec, a, strain_dim)):
+                raise AtomOutsideDomain(
+                    f"atom outside the domain of the remanent energy in bin ({i}, {j})")
+            out[i, j] = weights[i][j] @ full_grad(f_spec, a, strain_dim)
+    return out
+
+
+def _oracle_measure_at_time(trajectories, t):
+    hs = np.array([tr.time_grid.h for tr in trajectories])
+    wts = hs / hs.sum()
+    samples = np.stack([tr.z_const(t) for tr in trajectories])
+    n_cells, k = samples.shape[1:]
+    atoms, weights = [], []
+    first = np.zeros((1, n_cells, k))
+    spread = np.zeros((1, n_cells))
+    for c in range(n_cells):
+        a = samples[:, c, :]
+        atoms.append(a)
+        weights.append(wts.copy())
+        first[0, c] = wts @ a
+        spread[0, c] = np.sqrt(wts @ np.sum((a - first[0, c]) ** 2, axis=-1))
+    return [atoms], [weights], first, spread
+
+
+def _assert_ulps(got, want, scale, n_ulp=4):
+    """|got - want| within n_ulp units in the last place of scale."""
+    assert np.all(np.abs(got - want) <= n_ulp * np.spacing(np.abs(scale)))
+
+
+def _assert_same_measure(mu, atoms, weights, first, spread):
+    assert len(mu.atoms) == len(atoms)
+    for i in range(len(atoms)):
+        assert len(mu.atoms[i]) == len(atoms[i])
+        for j in range(len(atoms[i])):
+            assert np.array_equal(mu.atoms[i][j], atoms[i][j])
+            assert np.array_equal(mu.weights[i][j], weights[i][j])
+            # a first moment is a sum of w|a| at most; rounding is relative to it
+            scale = weights[i][j] @ np.abs(atoms[i][j])
+            _assert_ulps(mu.first_moment[i, j], first[i, j], scale)
+    _assert_ulps(mu.spread, spread, spread)
+
+
+def _partitions(time_grid, grid):
+    """Uneven cell groups; level-3 step midpoints (odd multiples of 1/16)
+    on bin edges; a hand-made partition with scattered groups."""
+    return [
+        uniform_partition(time_grid, grid, n_time_bins=16, n_cell_groups=3),
+        uniform_partition(time_grid, grid, n_time_bins=4, n_cell_groups=5),
+        ReferencePartition(
+            time_edges=np.array([0.0, 3.0 / 16.0, 0.5, 13.0 / 16.0, 1.0]),
+            cell_groups=(np.array([5, 0, 2]), np.array([7, 1]),
+                         np.array([3, 4, 6]))),
+    ]
+
+
+def _uneven_volumes(grid):
+    return grid.volumes * (1.0 + 0.37 * np.arange(grid.n_cells))
+
+
+def test_build_measure_matches_per_bin_oracle(smooth_family):
+    grid, sys_, f, g, runs = smooth_family
+    trajs = [runs[lv][1] for lv in (3, 4, 5)]
+    vols = _uneven_volumes(grid)
+    for part in _partitions(runs[3][0].time_grid, grid):
+        for subset in (trajs, trajs[1:], trajs[2:]):
+            mu = build_measure(subset, vols, part)
+            _assert_same_measure(mu, *_oracle_build(subset, vols, part))
+
+
+def test_eval_F_matches_per_bin_oracle(smooth_family):
+    grid, sys_, f, g, runs = smooth_family
+    trajs = [runs[lv][1] for lv in (3, 4, 5)]
+    P_max = max(np.abs(tr.z_nodes[..., 1]).max() for tr in trajs)
+    specs = [Quadratic(np.array([[2.0, 0.3], [0.3, 0.5]])),
+             LogSaturationRadial(1.5 * P_max)]
+    for part in _partitions(runs[3][0].time_grid, grid):
+        mu = build_measure(trajs, _uneven_volumes(grid), part)
+        for spec in specs:
+            F = eval_F(mu, spec, 1)
+            want = _oracle_eval_F(mu.atoms, mu.weights, spec, 1)
+            for i in range(len(mu.atoms)):
+                for j in range(len(mu.atoms[i])):
+                    scale = mu.weights[i][j] @ np.abs(full_grad(spec, mu.atoms[i][j], 1))
+                    _assert_ulps(F[i, j], want[i, j], scale)
+
+
+def test_eval_F_names_first_bin_outside_domain(smooth_family):
+    grid, sys_, f, g, runs = smooth_family
+    trajs = [runs[lv][1] for lv in (3, 4, 5)]
+    part = _partitions(runs[3][0].time_grid, grid)[0]
+    mu = build_measure(trajs, grid.volumes, part)
+    P_max = max(np.abs(tr.z_nodes[..., 1]).max() for tr in trajs)
+    spec = LogSaturationRadial(1.5 * P_max)
+    late = len(mu.atoms) - 1
+    mu.atoms[late][2][-1, 1] = 2.0 * P_max
+    mu.atoms[late][1][0, 1] = -2.0 * P_max
+    with pytest.raises(AtomOutsideDomain) as want:
+        _oracle_eval_F(mu.atoms, mu.weights, spec, 1)
+    with pytest.raises(AtomOutsideDomain) as got:
+        eval_F(mu, spec, 1)
+    assert str(got.value) == str(want.value)
+    assert f"({late}, 1)" in str(got.value)
+
+
+def test_measure_at_time_matches_per_cell_oracle(smooth_family):
+    grid, sys_, f, g, runs = smooth_family
+    trajs = [runs[lv][1] for lv in (3, 4, 5)]
+    for t in (0.0, 0.3, 0.5, 1.0):
+        mu = measure_at_time(trajs, grid.volumes, t)
+        _assert_same_measure(mu, *_oracle_measure_at_time(trajs, t))
+
+
+def test_build_measure_rejects_empty_time_bin(smooth_family):
+    grid, sys_, f, g, runs = smooth_family
+    part = uniform_partition(runs[3][0].time_grid, grid, n_time_bins=16)
+    with pytest.raises(ValueError, match="time bin 0 "):
+        build_measure([runs[3][1]], grid.volumes, part)
