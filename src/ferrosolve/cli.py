@@ -1,8 +1,10 @@
 """Command line driver: ``ferrosolve run|converge|check <scenario> ...``.
 
-Exit codes: 0 success, 2 solver failure, 3 validation / configuration
-failure.  The environment variable FERROSOLVE_THREADS caps the worker
-threads of the underlying linear algebra libraries.
+Exit codes: 0 success, 2 solver failure (including an energy-ledger slack
+below -tol_energy or an MVS slack below -tol_mvs), 3 validation,
+configuration or command-line usage failure.  The environment variable
+FERROSOLVE_THREADS caps the worker threads of the underlying linear algebra
+libraries.
 """
 
 import argparse
@@ -71,6 +73,25 @@ def _run_level(scn, system, level, outdir):
     return problem, traj, ledger
 
 
+def _energy_failure(level, ledger, tol):
+    """A message naming the step of the lowest energy slack when it is
+    below -tol (the artifacts are written before this is checked)."""
+    slack = ledger.slack()
+    n = int(np.argmin(slack))
+    if slack[n] >= -tol:
+        return None
+    return (f"level {level}, step {n + 1}: energy slack {slack[n]:.3e} "
+            f"< -tol_energy = {-tol:.3e}")
+
+
+def _exit_code(failures):
+    """Print the failures that occurred; EXIT_SOLVER if there were any."""
+    failures = [msg for msg in failures if msg]
+    for msg in failures:
+        print(msg, file=sys.stderr)
+    return EXIT_SOLVER if failures else EXIT_OK
+
+
 def cmd_run(scn, args):
     level = args.level if args.level is not None else scn.level
     if args.level is not None:
@@ -81,7 +102,9 @@ def cmd_run(scn, args):
     worst = max((c.residual for c in traj.certificates), default=0.0)
     print(f"level {level}: {traj.time_grid.n_steps} steps, "
           f"max certificate {worst:.3e}, outputs in {outdir}")
-    return EXIT_OK if worst <= scn.tolerances.step_tol else EXIT_SOLVER
+    if worst > scn.tolerances.step_tol:
+        return EXIT_SOLVER
+    return _exit_code([_energy_failure(level, ledger, scn.tolerances.tol_energy)])
 
 
 def cmd_converge(scn, args):
@@ -95,12 +118,15 @@ def cmd_converge(scn, args):
     grid = system.grid
     f_spec = scn.build_f()
     g_spec = scn.build_g()
+    tols = scn.tolerances
     results = []
     problems = {}
+    failures = []
     for lv in range(m0, m1 + 1):
-        problem, traj, _ = _run_level(scn, system, lv, outdir)
+        problem, traj, ledger = _run_level(scn, system, lv, outdir)
         results.append((lv, traj))
         problems[lv] = problem
+        failures.append(_energy_failure(lv, ledger, tols.tol_energy))
 
     partition = uniform_partition(problems[m0].time_grid, grid,
                                   n_time_bins=2 ** m0)
@@ -120,11 +146,14 @@ def cmd_converge(scn, args):
                                      / (problems[lv].p_exponent - 1.0))
             fh.write(f"{lv},{rep.lhs:.17g},{rep.rhs:.17g},"
                      f"{rep.slack:.17g},{gl:.17g},{gr:.17g}\n")
+            if not rep.slack >= -tols.tol_mvs:
+                failures.append(f"level {lv}: MVS slack {rep.slack:.3e} "
+                                f"< -tol_mvs = {-tols.tol_mvs:.3e}")
 
     diffs = study["final_state_diffs"]
     print(f"levels {m0}..{m1}: final-state level differences "
           + " ".join(f"{d:.3e}" for d in diffs))
-    return EXIT_OK
+    return _exit_code(failures)
 
 
 def cmd_check(scn, args):
@@ -143,8 +172,16 @@ def cmd_check(scn, args):
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit with EXIT_VALIDATION."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="ferrosolve",
         description="Quasi-static ferroelectric evolution: solve, refine, check.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -168,11 +205,11 @@ def build_parser():
 
 
 def _levels_arg(text):
-    for sep in ("..", ":", "-"):
-        if sep in text:
-            a, b = text.split(sep, 1)
-            return int(a), int(b)
-    raise argparse.ArgumentTypeError(f"expected m0..m1, got {text!r}")
+    try:
+        m0, m1 = text.split("..")
+        return int(m0), int(m1)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected m0..m1, got {text!r}") from None
 
 
 def main(argv=None):

@@ -108,9 +108,9 @@ class PowerLaw(PotentialSpec):
     def __init__(self, c=1.0, p=2.0):
         super().__init__()
         if not p >= 2.0:
-            raise ValueError(f"power-law exponent must satisfy p >= 2, got {p}")
+            raise ValueError(f"power-law exponent p must be >= 2, got {p}")
         if not c > 0.0:
-            raise ValueError(f"power-law coefficient must be positive, got {c}")
+            raise ValueError(f"power-law coefficient c must be positive, got {c}")
         self.c = float(c)
         self.p = float(p)
         self.p_star = p / (p - 1.0)
@@ -160,7 +160,7 @@ class BallIndicator(PotentialSpec):
     def __init__(self, kappa):
         super().__init__()
         if not kappa > 0.0:
-            raise ValueError(f"ball radius must be positive, got {kappa}")
+            raise ValueError(f"ball radius kappa must be positive, got {kappa}")
         self.kappa = float(kappa)
         self.growth_constants = {"kappa": kappa, "d1": kappa, "d2": 0.0, "p_star": 1.0}
 
@@ -242,7 +242,7 @@ class LogSaturationRadial(PotentialSpec):
     def __init__(self, P_s):
         super().__init__()
         if not P_s > 0.0:
-            raise ValueError(f"saturation constant must be positive, got {P_s}")
+            raise ValueError(f"saturation constant P_s must be positive, got {P_s}")
         self.P_s = float(P_s)
         self.coercive = True
         self.growth_constants = {"a1": 0.5, "a2": 0.0}
@@ -296,7 +296,7 @@ class LogSaturationDirectional(PotentialSpec):
     def __init__(self, P_s, a):
         super().__init__()
         if not P_s > 0.0:
-            raise ValueError(f"saturation constant must be positive, got {P_s}")
+            raise ValueError(f"saturation constant P_s must be positive, got {P_s}")
         a = np.asarray(a, dtype=float)
         n = np.linalg.norm(a)
         if n == 0.0:

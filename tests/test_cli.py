@@ -350,3 +350,124 @@ def test_check_reports_hardening_definiteness(tmp_path, capsys, name, line, defi
     assert [ln.split(" = ")[0] for ln in out] == [
         "c0", "lambda_min_D", "f family", "g family", "hardening definite"]
     assert out[-1] == f"hardening definite = {definite}"
+
+
+_FAMILY_KEYS = [
+    ("f", "H = 1.0", "H = 1.0\nP_s = 1.0", "key 'P_s' does not apply to family quadratic"),
+    ("g", "family = power_law", "family = power_law\nkappa = 3",
+     "key 'kappa' does not apply to family power_law"),
+]
+
+
+@pytest.mark.parametrize("name,old,new,message", _FAMILY_KEYS,
+                         ids=[c[0] for c in _FAMILY_KEYS])
+def test_key_of_another_family_exit_three_with_line(tmp_path, capsys, name, old, new,
+                                                   message):
+    assert old in REFERENCE
+    text = REFERENCE.replace(old, new)
+    lineno = text.splitlines().index(new.splitlines()[-1]) + 1
+    scn = _write(tmp_path, "bad.cfg", text)
+    assert main(["check", scn]) == 3
+    assert capsys.readouterr().err == f"ParseError: line {lineno}: {message}\n"
+
+
+_BAD_INPUTS = [
+    ("cell_fraction", "[initial]\nrow = 2.7 0.0 0.0",
+     "ParseError: line {0}: [initial] row cell: expected integers, got '2.7'"),
+    ("cell_negative_fraction", "[initial]\nrow = -0.5 0.0 0.0",
+     "ParseError: line {0}: [initial] row cell: expected integers, got '-0.5'"),
+    ("cell_repeated", "[initial]\nrow = 2 0.0 0.1\nrow = 2 0.0 0.2",
+     "ValidationError: [initial] row at line {0}: cell 2 already set at line {1}"),
+    ("step_tol", "[tolerances]\nstep_tol = -1",
+     "ValidationError: [tolerances] step_tol must be positive, got -1.0 (line {0})"),
+    ("tol_energy", "[tolerances]\ntol_energy = -1",
+     "ValidationError: [tolerances] tol_energy must be positive, got -1.0 (line {0})"),
+    ("tol_mvs", "[tolerances]\ntol_mvs = 0",
+     "ValidationError: [tolerances] tol_mvs must be positive, got 0.0 (line {0})"),
+    ("reg_weight", "[options]\nreg_weight = -10",
+     "ValidationError: [options] reg_weight must be >= 0, got -10.0 (line {0})"),
+]
+
+
+@pytest.mark.parametrize("name,section,message", _BAD_INPUTS,
+                         ids=[c[0] for c in _BAD_INPUTS])
+def test_bad_cell_index_or_tolerance_exit_three(tmp_path, capsys, name, section, message):
+    """Integer cell indices, one row per cell, positive tolerances and a
+    non-negative reg_weight; nothing is run and no output directory made."""
+    text = REFERENCE + "\n" + section + "\n"
+    lines = text.splitlines()
+    bad = [lines.index(ln) + 1 for ln in reversed(section.splitlines()[1:])]
+    scn = _write(tmp_path, "bad.cfg", text)
+    out = tmp_path / "out"
+    assert main(["run", scn, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == message.format(*bad) + "\n"
+    assert not out.exists()
+
+
+_USAGE = [
+    ("level_not_int", ["run", "--level", "x"]),
+    ("levels_single", ["converge", "--levels", "4"]),
+    ("levels_dash", ["converge", "--levels", "3-4"]),
+    ("levels_colon", ["converge", "--levels", "3:4"]),
+    ("unknown_option", ["check", "--bogus"]),
+]
+
+
+@pytest.mark.parametrize("name,args", _USAGE, ids=[c[0] for c in _USAGE])
+def test_usage_error_exit_three(tmp_path, capsys, name, args):
+    scn = _write(tmp_path, "ref.cfg", REFERENCE)
+    with pytest.raises(SystemExit) as exc:
+        main([args[0], scn, *args[1:], "--out", str(tmp_path / "o")])
+    assert exc.value.code == 3
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_help_exit_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    assert "m0..m1" in capsys.readouterr().out
+
+
+def test_energy_slack_below_tolerance_exit_two(tmp_path, capsys, monkeypatch):
+    from ferrosolve import rothe
+
+    slack = rothe.EnergyLedger.slack
+
+    def bad_slack(self):
+        values = slack(self)
+        values[2] = -1.0
+        return values
+
+    monkeypatch.setattr(rothe.EnergyLedger, "slack", bad_slack)
+    scn = _write(tmp_path, "ref.cfg", REFERENCE)
+    out = tmp_path / "out"
+    assert main(["run", scn, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "level 4, step 3: energy slack -1.000e+00 < -tol_energy = -1.000e-08\n"
+    assert (out / "energy_m4.csv").is_file()
+    assert main(["converge", scn, "--out", str(tmp_path / "c")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [ln.split(":")[0] for ln in err] == ["level 3, step 3", "level 4, step 3"]
+
+
+def test_mvs_slack_below_tolerance_exit_two(tmp_path, capsys, monkeypatch):
+    from ferrosolve import cli
+    from ferrosolve.young import MVSResidualReport
+
+    residual = cli.mvs_residual
+
+    def bad_residual(traj, problem, *args, **kwargs):
+        rep = residual(traj, problem, *args, **kwargs)
+        if problem.level == 4:
+            return MVSResidualReport(lhs=rep.lhs + 1.0, rhs=rep.rhs)
+        return rep
+
+    monkeypatch.setattr(cli, "mvs_residual", bad_residual)
+    scn = _write(tmp_path, "ref.cfg", REFERENCE)
+    out = tmp_path / "out"
+    assert main(["converge", scn, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("level 4: MVS slack -1.000e+00 < -tol_mvs = -1.000e-05")
+    assert (out / "mvs.csv").is_file() and (out / "measure.csv").is_file()

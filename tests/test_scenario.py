@@ -1,9 +1,17 @@
 """Scenario parsing, validation reporting, canonical round-trip."""
 
+import contextlib
+import io
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ferrosolve import ParseError, ValidationError, parse_scenario, serialize_scenario
+from ferrosolve.cli import main
 
 MINIMAL = """
 [grid]
@@ -226,3 +234,60 @@ def test_non_finite_number_list_rejected_with_line():
     lineno = text.splitlines().index("times = 0.5 nan") + 1
     assert exc.value.violations == [
         f"[checkpoints] times at line {lineno}: non-finite value in '0.5 nan'"]
+
+
+_TOKENS = ["x", "nan", "inf", "-1", "0", "2.5", "1e308", ""]
+
+
+@st.composite
+def _mutated_reference(draw):
+    """The REFERENCE scenario of test_cli with one line dropped or
+    duplicated, or one value token replaced."""
+    from test_cli import REFERENCE as CLI_REFERENCE
+
+    lines = CLI_REFERENCE.splitlines()
+    kind = draw(st.sampled_from(["drop", "duplicate", "replace"]))
+    if kind == "replace":
+        slots = [(i, j) for i, ln in enumerate(lines) if "=" in ln
+                 for j in range(len(ln.split("=", 1)[1].split()))]
+        i, j = draw(st.sampled_from(slots))
+        key, value = lines[i].split("=", 1)
+        toks = value.split()
+        toks[j] = draw(st.sampled_from(_TOKENS))
+        lines[i] = f"{key}= {' '.join(toks)}"
+    else:
+        i = draw(st.integers(0, len(lines) - 1))
+        if kind == "drop":
+            del lines[i]
+        else:
+            lines.insert(i, lines[i])
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(text=_mutated_reference())
+def test_mutated_reference_exits_cleanly_and_round_trips(text):
+    """`check` exits 0 or 3 and never raises; what parses round-trips."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(["check", path]) in (0, 3)
+    try:
+        scn = parse_scenario(text, is_text=True)
+    except (ParseError, ValidationError):
+        return
+    canonical = serialize_scenario(scn)
+    assert serialize_scenario(parse_scenario(canonical, is_text=True)) == canonical
+
+
+def test_huge_grid_with_cell_rows_is_a_violation():
+    """A grid far beyond the level bound is reported, not allocated."""
+    text = MINIMAL.replace("cells = 4", "cells = 10000000000") + "\n[initial]\nrow = 0 0.0 0.0\n"
+    with pytest.raises(ValidationError) as exc:
+        parse_scenario(text, is_text=True)
+    assert exc.value.violations == [
+        "[time] level: level 4 gives 10000000000 cells x 2 components x 2**4 steps, "
+        "more than 16777216 values"]
