@@ -27,8 +27,7 @@ from .tensors import (BlockOperatorA, BlockOperatorD, MaterialTensors,
                       assemble_block_A, assemble_block_D, make_tensors)
 from .potentials import (BallIndicator, LogSaturationDirectional,
                          LogSaturationRadial, PotentialSpec, PowerLaw,
-                         Quadratic, SumPotential, fenchel_residual,
-                         integral_functional)
+                         Quadratic, fenchel_residual)
 from .grid import Grid
 from .elliptic import AssembledSystem, FieldState
 from .rothe import (EnergyLedger, LoadSchedule, StepCertificate,
@@ -50,10 +49,10 @@ __all__ = [
     "NoConvergence", "NonPositiveDefinite", "OutsideDomain", "ParseError",
     "PotentialSpec", "PowerLaw", "Quadratic", "ReferencePartition",
     "Scenario", "SingularSystem", "StepCertificate", "StepSolveFailure",
-    "SteppedProblem", "SumPotential", "TimeGrid", "Tolerances", "Trajectory",
+    "SteppedProblem", "TimeGrid", "Tolerances", "Trajectory",
     "UnsupportedFamily", "ValidationError", "assemble_block_A",
     "assemble_block_D", "average_loads", "build_measure", "convergence_study",
-    "energy_report", "eval_F", "fenchel_residual", "integral_functional",
+    "energy_report", "eval_F", "fenchel_residual",
     "interpolant_gap", "isotropic_stiffness", "make_tensors",
     "measure_at_time", "mvs_residual",
     "pack_sym", "parse_scenario", "serialize_scenario", "uniform_partition",

@@ -141,9 +141,7 @@ def cmd_converge(scn, args):
         fh.write("level,lhs,rhs,slack,gap_lhs,gap_rhs\n")
         for lv, traj in results:
             rep = mvs_residual(traj, problems[lv], f_spec, g_spec)
-            gl, gr = interpolant_gap(traj, grid.volumes,
-                                     p_star=problems[lv].p_exponent
-                                     / (problems[lv].p_exponent - 1.0))
+            gl, gr = interpolant_gap(traj, grid.volumes, p_star=g_spec.p_star)
             fh.write(f"{lv},{rep.lhs:.17g},{rep.rhs:.17g},"
                      f"{rep.slack:.17g},{gl:.17g},{gr:.17g}\n")
             if not rep.slack >= -tols.tol_mvs:
@@ -186,21 +184,19 @@ def build_parser():
         description="Quasi-static ferroelectric evolution: solve, refine, check.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("scenario", help="scenario configuration file")
-        p.add_argument("--level", type=int, default=None,
-                       help="dyadic time level (overrides the scenario)")
-        p.add_argument("--levels", type=_levels_arg, default=None,
-                       metavar="m0..m1", help="level range for studies")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--override-coercivity", action="store_true",
-                       help="run even when the coercivity prerequisites fail")
-
     for name, fn in (("run", cmd_run), ("converge", cmd_converge),
                      ("check", cmd_check)):
         p = sub.add_parser(name)
-        common(p)
         p.set_defaults(func=fn)
+        p.add_argument("scenario", help="scenario configuration file")
+        p.add_argument("--override-coercivity", action="store_true",
+                       help="run even when the coercivity prerequisites fail")
+        if name != "check":
+            p.add_argument("--level", type=int, default=None,
+                           help="dyadic time level (overrides the scenario)")
+            p.add_argument("--levels", type=_levels_arg, default=None,
+                           metavar="m0..m1", help="level range for studies")
+            p.add_argument("--out", default="out", help="output directory")
     return parser
 
 

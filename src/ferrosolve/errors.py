@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the solver modules."""
 
+import math
+
 
 class FerrosolveError(Exception):
     """Base class for all library errors."""
@@ -11,10 +13,9 @@ class NonPositiveDefinite(FerrosolveError):
     def __init__(self, tensor_name, eigenvalue):
         self.tensor_name = tensor_name
         self.eigenvalue = eigenvalue
-        super().__init__(
-            f"{tensor_name} is not positive definite "
-            f"(offending eigenvalue {eigenvalue:.6e})"
-        )
+        detail = (f"offending eigenvalue {eigenvalue:.6e}" if math.isfinite(eigenvalue)
+                  else "non-finite entry or eigenvalue")
+        super().__init__(f"{tensor_name} is not positive definite ({detail})")
 
 
 class OutsideDomain(FerrosolveError):

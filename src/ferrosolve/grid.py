@@ -58,7 +58,6 @@ class Grid:
         self.cells_per_axis = cells_per_axis
         self.lengths = lengths
         self.nodes_per_axis = tuple(n + 1 for n in cells_per_axis)
-        self.spacings = tuple(L / n for L, n in zip(lengths, cells_per_axis))
 
         axes = [np.linspace(0.0, L, n + 1) for L, n in zip(lengths, cells_per_axis)]
         mesh = np.meshgrid(*axes, indexing="ij")

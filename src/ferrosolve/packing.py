@@ -74,13 +74,3 @@ def isotropic_stiffness(dim, lam, mu):
     m = identity_packed(dim)
     return 2.0 * mu * np.eye(s) + lam * np.outer(m, m)
 
-
-def sym_map_as_packed(apply_fn, dim):
-    """Packed matrix of a linear map on symmetric matrices given as a callable."""
-    s = sym_dim(dim)
-    cols = []
-    for n in range(s):
-        basis = np.zeros(s)
-        basis[n] = 1.0
-        cols.append(pack_sym(np.asarray(apply_fn(unpack_sym(basis)))))
-    return np.stack(cols, axis=-1)

@@ -67,13 +67,18 @@ class PotentialSpec:
 
     Subclasses set ``family`` and ``acts_on`` ("full" for functions of the
     whole internal variable, "P" for functions of the polarization block
-    only) and fill ``growth_constants`` where closed forms exist.
+    only) and fill ``growth_constants`` where closed forms exist.  A
+    dissipation family also sets ``p`` and, when its domain is bounded,
+    overrides ``project`` and ``violation``.
     """
 
     family = "abstract"
     acts_on = "full"
     #: quadratic lower bound on the active block (a1 > 0 in the growth data)
     coercive = False
+    #: ledger exponent of a dissipation family: the energy ledger measures
+    #: load traces in L^p and rates in L^{p*}
+    p = None
 
     def __init__(self):
         self.growth_constants = {}
@@ -99,6 +104,26 @@ class PotentialSpec:
         """Whether v lies in the (closed, shrunk by margin) effective domain."""
         return np.ones(np.asarray(v).shape[:-1], dtype=bool)
 
+    # -- dissipation potentials ----------------------------------------
+
+    @property
+    def p_star(self):
+        """Conjugate ledger exponent p/(p-1)."""
+        return self.p / (self.p - 1.0)
+
+    def project(self, w):
+        """Flow-rule projection of a driving force onto the domain of g.
+
+        The certificate and the weak inequality evaluate g at project(w) and
+        charge <rate, project(w) - w> for the move; the identity for a g
+        that is finite everywhere.
+        """
+        return w
+
+    def violation(self, w):
+        """Distance of w to the domain of g (zero where g is finite everywhere)."""
+        return np.zeros(np.shape(w)[:-1])
+
 
 class PowerLaw(PotentialSpec):
     """g(v) = c |v|^p with p >= 2; the reference rate-dependent potential."""
@@ -113,7 +138,6 @@ class PowerLaw(PotentialSpec):
             raise ValueError(f"power-law coefficient c must be positive, got {c}")
         self.c = float(c)
         self.p = float(p)
-        self.p_star = p / (p - 1.0)
         # conjugate is k* |w|^{p*}
         self.conj_coeff = (1.0 / self.p_star) * (c * p) ** (1.0 / (1.0 - p))
         self.growth_constants = {
@@ -156,12 +180,14 @@ class BallIndicator(PotentialSpec):
     """Indicator of the centered ball of radius kappa (rate-independent g)."""
 
     family = "ball_indicator"
+    p = 2.0
 
     def __init__(self, kappa):
         super().__init__()
         if not kappa > 0.0:
             raise ValueError(f"ball radius kappa must be positive, got {kappa}")
         self.kappa = float(kappa)
+        # growth_constants["p_star"] is the growth of g*, not the ledger's p*
         self.growth_constants = {"kappa": kappa, "d1": kappa, "d2": 0.0, "p_star": 1.0}
 
     def value(self, v):
@@ -173,11 +199,15 @@ class BallIndicator(PotentialSpec):
         return self.kappa * _norm(w)
 
     def prox(self, lam, v):
-        # metric projection; independent of lam
-        v = np.asarray(v, dtype=float)
-        n = _norm(v)
+        # independent of lam
+        return self.project(v)
+
+    def project(self, w):
+        """Metric projection onto the ball."""
+        w = np.asarray(w, dtype=float)
+        n = _norm(w)
         scale = np.where(n > self.kappa, self.kappa / np.where(n > 0.0, n, 1.0), 1.0)
-        return scale[..., None] * v
+        return scale[..., None] * w
 
     def conjugate_prox(self, lam, w):
         # shrinkage for the support function
@@ -187,7 +217,6 @@ class BallIndicator(PotentialSpec):
         return scale[..., None] * w
 
     def violation(self, w):
-        """Distance of w to the ball (constraint residual in the flow rule)."""
         return np.maximum(0.0, _norm(w) - self.kappa)
 
     def contains(self, v, margin=0.0):
@@ -337,32 +366,15 @@ class LogSaturationDirectional(PotentialSpec):
             return val, der
 
         rho = _solve_monotone(res, lo, hi)
-        # not v + (rho - proj) a, which loses rho in the rounding of a large proj
-        return (v - proj[..., None] * self.a) + rho[..., None] * self.a
+        # not v + (rho - proj) a, which loses rho in the rounding of a large
+        # proj; the rounding of v - proj a leaves a component along a of the
+        # order of eps |proj|, so that component is removed a second time
+        perp = v - proj[..., None] * self.a
+        perp -= (perp @ self.a)[..., None] * self.a
+        return perp + rho[..., None] * self.a
 
     def contains(self, v, margin=0.0):
         return np.abs(self._t(v)) < 1.0 - margin
-
-
-class SumPotential(PotentialSpec):
-    """Sum of potentials.  Prox is available only for block-disjoint parts."""
-
-    family = "sum"
-
-    def __init__(self, parts):
-        super().__init__()
-        self.parts = list(parts)
-        self.acts_on = "full" if any(p.acts_on == "full" for p in self.parts) else "P"
-        self.coercive = any(p.coercive for p in self.parts)
-
-    def value(self, v):
-        return sum(p.value(v) for p in self.parts)
-
-    def grad(self, v):
-        return sum(p.grad(v) for p in self.parts)
-
-    def prox(self, lam, v):
-        raise UnsupportedFamily("prox of a general sum is not separable")
 
 
 def fenchel_residual(g_spec, v, w):
@@ -374,14 +386,6 @@ def fenchel_residual(g_spec, v, w):
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
     return g_spec.value(w) + g_spec.conjugate_value(v) - np.sum(v * w, axis=-1)
-
-
-def integral_functional(spec, field, cell_measures):
-    """Discrete integral functional: sum of measure * spec(value) over cells."""
-    vals = spec.value(field)
-    if np.any(np.isinf(vals)):
-        return np.inf
-    return float(np.sum(np.asarray(cell_measures) * vals))
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainEscape, StepSolveFailure
-from .potentials import (BallIndicator, PowerLaw, fenchel_residual, full_contains,
-                         full_grad, full_prox, full_value)
+from .potentials import fenchel_residual, full_contains, full_grad, full_prox, full_value
 
+#: iterations between two certificate checks of a step
+CHECK_EVERY = 10
 #: consecutive certificate checks without a new best certificate, at a
 #: converged fixed point, after which a step is declared hopeless
 STALL_CHECKS = 50
@@ -119,7 +120,7 @@ class StepCertificate:
     """Convergence evidence for one accepted step."""
 
     residual: float          # integrated Young-Fenchel gap
-    constraint_violation: float  # distance of Sigma to K (indicator g only)
+    constraint_violation: float  # distance of Sigma to the domain of g
     fixed_point_gap: float
     iterations: int
 
@@ -129,8 +130,7 @@ class EnergyLedger:
     """Per-step energy bookkeeping backing the discrete a-priori estimate."""
 
     h: float
-    reg_weight: float
-    p: float
+    p_star: float                  # exponent of the rate norm
     dissipation: np.ndarray        # <rate, Sigma> integrated over the domain
     Ig_star_rate: np.ndarray
     Ig_Sigma: np.ndarray
@@ -230,46 +230,41 @@ class SteppedProblem:
             return float(mag.max(initial=0.0))
         return float(np.sum(self.vol * mag ** p) ** (1.0 / p))
 
-    @property
-    def p_exponent(self):
-        return self.g.p if isinstance(self.g, PowerLaw) else 2.0
-
     # -- certificate ----------------------------------------------------
 
     def residual_parts(self, z, rate, zhat, Mm_z=None):
-        """Sigma, integrated Young-Fenchel residual and K-violation at z.
+        """Sigma, integrated Young-Fenchel residual and violation at z.
 
+        The residual is taken at the flow-rule projection of Sigma onto the
+        domain of g, plus the pairing of the rate with the projection's move;
+        the violation is the largest distance of Sigma to that domain.
         ``Mm_z`` is M_m z when the caller already has it.
         """
         if Mm_z is None:
             Mm_z = self.apply_Mm(z)
         Sigma = -Mm_z - full_grad(self.f, z, self.s) + zhat
-        if isinstance(self.g, BallIndicator):
-            viol = float(self.g.violation(Sigma).max(initial=0.0))
-            Sigma_in = self.g.prox(1.0, Sigma)   # projection onto K
-            resid = fenchel_residual(self.g, rate, Sigma_in)
-            resid = resid + np.sum(rate * (Sigma_in - Sigma), axis=-1)
-        else:
-            viol = 0.0
-            resid = fenchel_residual(self.g, rate, Sigma)
+        viol = float(self.g.violation(Sigma).max(initial=0.0))
+        Sigma_in = self.g.project(Sigma)
+        resid = fenchel_residual(self.g, rate, Sigma_in)
+        resid = resid + np.sum(rate * (Sigma_in - Sigma), axis=-1)
         total = float(np.sum(self.vol * np.maximum(resid, 0.0)))
         return Sigma, total, viol
 
     def rounding_floor(self, rate, Sigma):
-        """eps * sum vol (|g(Sigma)| + |g*(rate)| + |<rate, Sigma>|).
+        """eps * sum vol (|g(project(Sigma))| + |g*(rate)| + |<rate, Sigma>|).
 
         The roundoff level of the integrated Young-Fenchel residual: a
         certificate tolerance below it cannot be met.
         """
-        g_val = 0.0 if isinstance(self.g, BallIndicator) else np.abs(self.g.value(Sigma))
-        terms = (g_val + np.abs(self.g.conjugate_value(rate))
+        terms = (np.abs(self.g.value(self.g.project(Sigma)))
+                 + np.abs(self.g.conjugate_value(rate))
                  + np.abs(np.sum(rate * Sigma, axis=-1)))
         return float(np.finfo(float).eps * np.sum(self.vol * terms))
 
     # -- single step -----------------------------------------------------
 
     def step(self, z_prev, zhat, step_tol=1e-6, fp_tol=1e-10, max_iter=100000,
-             y0=None, check_every=10):
+             y0=None):
         """Solve one implicit step; returns (z, Sigma, certificate).
 
         Davis-Yin three-operator splitting: the remanent energy enters by its
@@ -294,7 +289,7 @@ class SteppedProblem:
             xA = z_prev + self.h * u
             delta = xA - xB
             y += delta
-            if it % check_every == 0 or it == max_iter:
+            if it % CHECK_EVERY == 0 or it == max_iter:
                 fp = float(np.abs(delta).max(initial=0.0))
                 rate = (xB - z_prev) / self.h
                 Sigma, resid, viol = self.residual_parts(xB, rate, zhat, Mm_xB)
@@ -325,8 +320,7 @@ class SteppedProblem:
         sigma_E = np.empty((N,) + z0.shape)
         certs = []
 
-        p = self.p_exponent
-        p_star = p / (p - 1.0)
+        p, p_star = self.g.p, self.g.p_star
         ML0 = self.apply_M(z0) + z0 @ self.L.T
         quad = [0.5 * self._dot(ML0, z0) + 0.5 * self.reg * self._dot(z0, z0)]
         If_e = [self._integral_f(z0)]
@@ -351,7 +345,8 @@ class SteppedProblem:
             rate = (z - z_nodes[n]) / self.h
             diss.append(self._dot(rate, Sigma))
             igs.append(float(np.sum(self.vol * self.g.conjugate_value(rate))))
-            ig.append(self._g_value_tolerant(Sigma))
+            # g at the projection: Sigma meets the domain of g to the step tolerance
+            ig.append(float(np.sum(self.vol * self.g.value(self.g.project(Sigma)))))
             rn.append(self._p_norm(rate, p_star))
             zn.append(self._p_norm(zhat_steps[n], p))
             MLz = Mz + z @ self.L.T
@@ -359,7 +354,7 @@ class SteppedProblem:
             If_e.append(self._integral_f(z))
 
         ledger = EnergyLedger(
-            h=self.h, reg_weight=self.reg, p=p,
+            h=self.h, p_star=p_star,
             dissipation=np.asarray(diss), Ig_star_rate=np.asarray(igs),
             Ig_Sigma=np.asarray(ig), rate_norm=np.asarray(rn),
             zhat_norm=np.asarray(zn), quad_energy=np.asarray(quad),
@@ -372,12 +367,6 @@ class SteppedProblem:
         vals = full_value(self.f, z, self.s)
         return float(np.sum(self.vol * vals))
 
-    def _g_value_tolerant(self, Sigma):
-        """I_g(Sigma) with the K-membership check relaxed to the step tolerance."""
-        if isinstance(self.g, BallIndicator):
-            return 0.0
-        return float(np.sum(self.vol * self.g.value(Sigma)))
-
 
 def energy_report(ledger):
     """Slack of the discrete a-priori inequality plus boundedness sequences."""
@@ -387,9 +376,8 @@ def energy_report(ledger):
         "slack": slack,
         "dissipation": ledger.dissipation,
         "partial_sums": lhs_partial,
-        "rate_pstar_norm": (np.sum(ledger.h * ledger.rate_norm
-                                   ** (ledger.p / (ledger.p - 1.0))))
-        ** ((ledger.p - 1.0) / ledger.p),
+        "rate_pstar_norm": np.sum(ledger.h * ledger.rate_norm ** ledger.p_star)
+        ** (1.0 / ledger.p_star),
         "sup_quad_energy": float(ledger.quad_energy.max()),
         "sup_If": float(ledger.If_energy.max()),
     }

@@ -38,12 +38,21 @@ def _check_symmetric(mat, name):
         raise ValueError(f"{name} is not symmetric")
 
 
-def _check_spd(mat, name):
+def _check_spd(mat, name, eig=np.linalg.eigvalsh):
+    """Eigenvalues ``eig(mat)`` of a symmetric positive definite block.
+
+    NonPositiveDefinite naming the block unless its entries and eigenvalues
+    are finite and its eigenvalues positive; the entries are tested first, so
+    that no LinAlgError escapes.
+    """
+    if not np.isfinite(mat).all():
+        raise NonPositiveDefinite(name, float("nan"))
     _check_symmetric(mat, name)
-    lam_min = np.linalg.eigvalsh(mat).min()
-    if lam_min <= 0.0:
+    w = eig(mat)
+    lam_min = float(w.min())
+    if not (np.isfinite(w).all() and lam_min > 0.0):
         raise NonPositiveDefinite(name, lam_min)
-    return lam_min
+    return w
 
 
 @dataclass(frozen=True)
@@ -155,12 +164,9 @@ class BlockOperatorA:
 
 @dataclass(frozen=True)
 class BlockOperatorD:
-    """Constitutive block operator D with spectral square-root factors."""
+    """Constitutive block operator D with its smallest eigenvalue."""
 
     matrix: np.ndarray
-    sqrt: np.ndarray
-    inv_sqrt: np.ndarray
-    inverse: np.ndarray
     lam_min: float
 
 
@@ -168,10 +174,9 @@ def assemble_block_A(tensors):
     """Assemble the coupled-field operator and compute c0 by eigensolve."""
     C, eps, e = tensors.C, tensors.eps, tensors.e_piezo
     A = np.block([[C, e.T], [-e, eps]])
-    sym = 0.5 * (A + A.T)
-    c0 = float(np.linalg.eigvalsh(sym).min())
-    if c0 <= 0.0:
-        raise NonPositiveDefinite("A (symmetric part)", c0)
+    with np.errstate(over="ignore"):     # an overflow is a non-finite entry
+        sym = 0.5 * (A + A.T)
+    c0 = float(_check_spd(sym, "A (symmetric part)").min())
     return BlockOperatorA(matrix=A, c0=c0)
 
 
@@ -179,21 +184,16 @@ def assemble_block_D(tensors):
     """Assemble D = [[C + e^T eps^-1 e, -e^T eps^-1], [-eps^-1 e, eps^-1]]."""
     C, eps, e = tensors.C, tensors.eps, tensors.e_piezo
     eps_inv = np.linalg.inv(eps)
-    D = np.block([
-        [C + e.T @ eps_inv @ e, -e.T @ eps_inv],
-        [-eps_inv @ e, eps_inv],
-    ])
-    D = 0.5 * (D + D.T)
-    w, V = np.linalg.eigh(D)
-    if w.min() <= 0.0:
-        raise NonPositiveDefinite("D", float(w.min()))
-    sqrt = (V * np.sqrt(w)) @ V.T
-    inv_sqrt = (V / np.sqrt(w)) @ V.T
-    inverse = (V / w) @ V.T
-    return BlockOperatorD(
-        matrix=D, sqrt=sqrt, inv_sqrt=inv_sqrt, inverse=inverse,
-        lam_min=float(w.min()),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):   # see assemble_block_A
+        D = np.block([
+            [C + e.T @ eps_inv @ e, -e.T @ eps_inv],
+            [-eps_inv @ e, eps_inv],
+        ])
+        D = 0.5 * (D + D.T)
+    # eigh, not eigvalsh: the two LAPACK drivers differ in the last bits, and
+    # check prints lam_min to 17 digits
+    w = _check_spd(D, "D", eig=lambda m: np.linalg.eigh(m)[0])
+    return BlockOperatorD(matrix=D, lam_min=float(w.min()))
 
 
 def constitutive_stress_field(tensors, eps_strain, E, r, P):

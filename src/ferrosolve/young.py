@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AtomOutsideDomain, MismatchedScenario
-from .potentials import BallIndicator, full_contains, full_grad
+from .potentials import full_contains, full_grad
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,7 @@ def build_measure(trajectories, volumes, partition):
     )
 
 
-def measure_at_time(trajectories, volumes, t, grid_cells_as_groups=True):
+def measure_at_time(trajectories, volumes, t):
     """Cross-level measure at a fixed time: atoms are the levels' interpolant
     values, weighted by their step sizes.
 
@@ -198,14 +198,16 @@ class MVSResidualReport:
 def mvs_residual(traj, problem, f_spec, g_spec, measure=None):
     """Weak-inequality residual of one trajectory's step data.
 
-    LHS integrates g*(rate) + g((sigma, E) - L_m z - F) over space-time; RHS
-    is the duality pairing of the rate with the same argument, with the inner
-    integral computed cell-by-cell in time first, never as a reordered global
-    quadrature.  L_m includes the level's vanishing regularization (it
-    belongs to the discrete flow rule and disappears only in the limit), and
-    F is the gradient of the remanent energy at the trajectory value unless a
-    pooled measure is supplied, in which case the measure-averaged driving
-    force of its space-time bin is used.  For a certified trajectory the
+    LHS integrates g*(rate) + g((sigma, E) - L_m z - F) over space-time, with
+    g taken at the argument's flow-rule projection (``g_spec.project``) plus
+    the pairing of the rate with the projection's move, as in the step
+    certificate.  RHS is the duality pairing of the rate with the argument,
+    with the inner integral computed cell-by-cell in time first, never as a
+    reordered global quadrature.  L_m includes the level's vanishing
+    regularization (it belongs to the discrete flow rule and disappears only
+    in the limit), and F is the gradient of the remanent energy at the
+    trajectory value unless a pooled measure is supplied, in which case the
+    measure-averaged driving force of its space-time bin is used.  For a certified trajectory the
     slack equals minus the aggregate of the per-step duality certificates up
     to the measure-averaging error.
     """
@@ -234,14 +236,10 @@ def mvs_residual(traj, problem, f_spec, g_spec, measure=None):
                 F[group] = F_bins[i, j]
         arg = traj.sigma_E[n] - z @ Lm.T - F
         rate = rates[n]
-        if isinstance(g_spec, BallIndicator):
-            arg_in = g_spec.prox(1.0, arg)
-            g_vals = g_spec.value(arg_in)
-            corr = np.sum(rate * (arg_in - arg), axis=-1)
-        else:
-            g_vals = g_spec.value(arg)
-            corr = 0.0
-        lhs += h * float(np.sum(vol * (g_spec.conjugate_value(rate) + g_vals + corr)))
+        arg_in = g_spec.project(arg)
+        corr = np.sum(rate * (arg_in - arg), axis=-1)
+        lhs += h * float(np.sum(vol * (g_spec.conjugate_value(rate) + g_spec.value(arg_in)
+                                       + corr)))
         rhs += h * float(np.sum(vol * np.sum(rate * arg, axis=-1)))
     return MVSResidualReport(lhs=lhs, rhs=rhs)
 

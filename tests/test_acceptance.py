@@ -178,8 +178,7 @@ def test_acceptance_07_interpolant_gap_identity():
     worst = 0.0
     for kwargs in ({}, {"g_spec": BallIndicator(0.4), "amp": 1.2}):
         grid, prob, _, traj, _ = _reference(level=4, step_tol=1e-9, **kwargs)
-        p_star = prob.p_exponent / (prob.p_exponent - 1.0)
-        lhs, rhs = interpolant_gap(traj, grid.volumes, p_star=p_star)
+        lhs, rhs = interpolant_gap(traj, grid.volumes, p_star=prob.g.p_star)
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-300))
     ok = worst <= 1e-10
     _report(7, ok, f"max relative gap-identity error={worst:.2e} (<=1e-10)")

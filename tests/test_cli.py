@@ -1,6 +1,7 @@
 """Command line driver: exit codes, artifacts, determinism, coercivity gate."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -405,22 +406,43 @@ def test_bad_cell_index_or_tolerance_exit_three(tmp_path, capsys, name, section,
 
 
 _USAGE = [
-    ("level_not_int", ["run", "--level", "x"]),
-    ("levels_single", ["converge", "--levels", "4"]),
-    ("levels_dash", ["converge", "--levels", "3-4"]),
-    ("levels_colon", ["converge", "--levels", "3:4"]),
+    ("level_not_int", ["run", "--level", "x", "--out", "{out}"]),
+    ("levels_single", ["converge", "--levels", "4", "--out", "{out}"]),
+    ("levels_dash", ["converge", "--levels", "3-4", "--out", "{out}"]),
+    ("levels_colon", ["converge", "--levels", "3:4", "--out", "{out}"]),
     ("unknown_option", ["check", "--bogus"]),
+    # check reads only the scenario and --override-coercivity
+    ("check_level", ["check", "--level", "4"]),
+    ("check_levels", ["check", "--levels", "3..4"]),
+    ("check_out", ["check", "--out", "{out}"]),
 ]
 
 
 @pytest.mark.parametrize("name,args", _USAGE, ids=[c[0] for c in _USAGE])
 def test_usage_error_exit_three(tmp_path, capsys, name, args):
     scn = _write(tmp_path, "ref.cfg", REFERENCE)
+    out = str(tmp_path / "o")
     with pytest.raises(SystemExit) as exc:
-        main([args[0], scn, *args[1:], "--out", str(tmp_path / "o")])
+        main([args[0], scn, *(a.format(out=out) for a in args[1:])])
     assert exc.value.code == 3
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key", ["coupling", "elastic", "dielectric"])
+def test_overflowing_tensor_exit_three(tmp_path, capsys, key):
+    """A tensor entry whose block operator overflows is a validation error
+    naming the block, for check and for run, not a NaN or a singular solve."""
+    text = re.sub(rf"^{key} = .*$", f"{key} = 1e308", REFERENCE, flags=re.M)
+    scn = _write(tmp_path, "huge.cfg", text)
+    block = "D" if key == "coupling" else "A (symmetric part)"
+    message = (f"NonPositiveDefinite: {block} is not positive definite "
+               "(non-finite entry or eigenvalue)\n")
+    assert main(["check", scn]) == 3
+    assert capsys.readouterr() == ("", message)
+    out = tmp_path / "out"
+    assert main(["run", scn, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == message
 
 
 def test_help_exit_zero(capsys):

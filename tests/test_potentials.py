@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 
 from ferrosolve import (BallIndicator, LogSaturationDirectional,
                         LogSaturationRadial, OutsideDomain, PowerLaw,
-                        Quadratic, SumPotential, UnsupportedFamily,
-                        fenchel_residual, integral_functional)
+                        Quadratic, fenchel_residual)
 from ferrosolve.potentials import (DOMAIN_MARGIN, full_contains, full_grad,
                                    full_prox, full_value)
 
@@ -273,6 +272,17 @@ def test_directional_prox_matches_decimal_root(P_s, a):
             assert abs(x - ref) <= 1e-12 * ref, (lam, n, x, ref)
 
 
+@pytest.mark.parametrize("a", [[1.0, 1.0], [0.6, -0.8]], ids=["diagonal", "oblique"])
+def test_directional_prox_stays_in_domain_for_huge_arguments(a):
+    """The rounding of v - (v, a) a leaves a component along a of order
+    eps |v|; the prox removes it, so it stays in the slab for |v| to 1e15."""
+    spec = LogSaturationDirectional(1.0, a)
+    perp = np.array([-spec.a[1], spec.a[0]])
+    for s in (1e6, 1e7, 1e9, 1e12, 1e15):
+        for v in (s * spec.a, -s * spec.a, s * spec.a + 3.0 * perp):
+            assert spec.contains(spec.prox(0.5, v)), (s, v)
+
+
 def _mixed_scale_batch(rng, rows=128, dim=2):
     """Rows spanning 1e-8 .. 1e6 in norm, and one lam in 1e-6 .. 50."""
     scale = 10.0 ** rng.uniform(-8.0, 6.0, rows)
@@ -333,6 +343,27 @@ def test_ball_prox_is_projection():
     assert np.allclose(spec.prox(2.0, inside), inside)
 
 
+def test_flow_rule_projection_and_violation():
+    """A power law is finite everywhere: identity projection, no violation.
+    The ball projects radially onto its sphere; the violation is |w| - kappa."""
+    w = np.array([[3.0, 4.0], [0.1, -0.2]])
+    power = PowerLaw(1.0, 3.0)
+    assert np.array_equal(power.project(w), w)
+    assert np.array_equal(power.violation(w), [0.0, 0.0])
+    ball = BallIndicator(0.5)
+    assert np.allclose(ball.project(w), [[0.3, 0.4], [0.1, -0.2]], atol=1e-15)
+    assert np.allclose(ball.violation(w), [4.5, 0.0], atol=1e-15)
+
+
+def test_ledger_exponents():
+    """The ledger exponent p and its conjugate p/(p-1), per dissipation family;
+    the ball's ledger p* is not the growth exponent of its conjugate."""
+    assert (PowerLaw(1.0, 3.0).p, PowerLaw(1.0, 3.0).p_star) == (3.0, 1.5)
+    ball = BallIndicator(0.5)
+    assert (ball.p, ball.p_star) == (2.0, 2.0)
+    assert ball.growth_constants["p_star"] == 1.0
+
+
 def test_moreau_identity():
     """prox_{lam g}(v) + lam prox_{g*/lam}(v/lam) = v for both g families."""
     rng = np.random.default_rng(8)
@@ -383,29 +414,6 @@ def test_quadratic_prox_closed_form():
     lam = 0.5
     expected = np.array([2.0 / 1.5, 2.0 / 3.0])
     assert np.allclose(spec.prox(lam, v), expected, atol=1e-14)
-
-
-def test_sum_potential():
-    q = Quadratic(np.eye(3))
-    r = LogSaturationRadial(1.0)
-    # radial part acts on P only when lifted; as a plain sum both act on the
-    # same argument, so test value/grad additivity directly
-    s = SumPotential([q, PowerLaw(1.0, 2.0)])
-    x = np.array([0.1, -0.2, 0.3])
-    assert float(s.value(x)) == pytest.approx(float(q.value(x)) + np.sum(x ** 2), rel=1e-14)
-    assert np.allclose(s.grad(x), q.grad(x) + 2 * x)
-    with pytest.raises(UnsupportedFamily):
-        s.prox(1.0, x)
-    assert r.coercive and SumPotential([r, q]).coercive
-
-
-def test_integral_functional():
-    spec = PowerLaw(1.0, 2.0)
-    field = np.array([[1.0, 0.0], [0.0, 2.0]])
-    measures = np.array([0.5, 0.25])
-    assert integral_functional(spec, field, measures) == pytest.approx(0.5 + 1.0)
-    ind = BallIndicator(0.5)
-    assert integral_functional(ind, field, measures) == np.inf
 
 
 def test_full_lifting_splits_blocks():

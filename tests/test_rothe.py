@@ -240,7 +240,7 @@ def test_non_finite_step_fails_fast():
     prob.apply_M = lambda z: calls.append(1) or apply_M(z)
     zhat = np.full((grid.n_cells, 2), np.nan)
     with pytest.raises(StepSolveFailure):
-        prob.step(np.zeros((grid.n_cells, 2)), zhat, max_iter=100000, check_every=10)
+        prob.step(np.zeros((grid.n_cells, 2)), zhat, max_iter=100000)
     assert len(calls) <= 11
 
 

@@ -106,11 +106,35 @@ def test_block_D_inverts_constitutive_relations():
         assert np.allclose(out[:, s:], E, atol=1e-12)
 
 
-def test_block_D_sqrt_factors():
+def test_block_D_lam_min():
     t = make_tensors(2, ("isotropic", 1.0, 2.0), [1.5, 0.5],
                      coupling=0.2 * np.ones((2, 3)))
     block = assemble_block_D(t)
-    assert np.allclose(block.sqrt @ block.sqrt, block.matrix, atol=1e-12)
-    assert np.allclose(block.inv_sqrt @ block.sqrt, np.eye(5), atol=1e-12)
-    assert np.allclose(block.inverse @ block.matrix, np.eye(5), atol=1e-12)
     assert block.lam_min > 0.0
+    # Rayleigh quotients on random vectors never fall below lam_min, and
+    # the minimizing eigenvector of the 5x5 matrix attains it
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((200, 5))
+    rayleigh = np.sum((x @ block.matrix) * x, axis=1) / np.sum(x * x, axis=1)
+    assert rayleigh.min() >= block.lam_min * (1.0 - 1e-12)
+    w, V = np.linalg.eig(block.matrix)
+    v = np.real(V[:, np.argmin(np.real(w))])
+    assert v @ block.matrix @ v / (v @ v) == pytest.approx(block.lam_min, rel=1e-10)
+
+
+@pytest.mark.parametrize("kwargs, block", [
+    ({"elastic": [np.inf, 1.0, 1.0]}, "C"),
+    ({"dielectric": [1.0, np.nan]}, "eps"),
+    ({"elastic": 1e308}, "A (symmetric part)"),
+    ({"dielectric": 1e308}, "A (symmetric part)"),
+    ({"coupling": 1e308 * np.ones((2, 3))}, "D"),
+], ids=["C_inf", "eps_nan", "C_overflow", "eps_overflow", "coupling_overflow"])
+def test_non_finite_blocks_rejected(kwargs, block):
+    """A non-finite entry, or a block whose assembly overflows, is
+    NonPositiveDefinite naming the block, never a LinAlgError or a NaN."""
+    args = {"elastic": 1.0, "dielectric": 1.0, "coupling": None, **kwargs}
+    with pytest.raises(NonPositiveDefinite, match=r"non-finite") as exc:
+        t = make_tensors(2, args["elastic"], args["dielectric"], args["coupling"])
+        assemble_block_A(t)
+        assemble_block_D(t)
+    assert exc.value.tensor_name == block

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ferrosolve import (AssembledSystem, AtomOutsideDomain, Grid,
+from ferrosolve import (AssembledSystem, AtomOutsideDomain, BallIndicator, Grid,
                         LoadSchedule, LogSaturationRadial, MismatchedScenario,
                         PowerLaw, Quadratic, SteppedProblem, average_loads,
                         build_measure, convergence_study, eval_F,
@@ -160,6 +160,30 @@ def test_mvs_residual_certified_trajectory(smooth_family):
     # slack = minus aggregated per-step certificates, so near zero from below
     assert rep.slack <= 1e-12
     assert rep.slack >= -1e-6
+
+
+@pytest.mark.parametrize("g", [PowerLaw(1.0, 2.0), PowerLaw(1.0, 3.0), BallIndicator(0.05)],
+                         ids=["power_p2", "power_p3", "ball"])
+def test_mvs_residual_with_one_atom_per_cell_measure(g):
+    """With one time bin per step and one group per cell, every partition
+    cell holds one atom of weight 1, so the measure's driving force is
+    grad f at the trajectory value and both sides equal those without a
+    measure exactly; a coarse partition averages F and moves the slack."""
+    grid = Grid(1, 6)
+    t = make_tensors(1, 1.0, 1.0, coupling=0.3, hardening=0.4)
+    sys_ = AssembledSystem(grid, t)
+    f = LogSaturationRadial(1.0)
+    sched = LoadSchedule.uniform([0.0, 1.0], [[0.0], [0.8]], [0.0, 0.6], grid)
+    prob, traj = _run(3, grid, sys_, f, g, sched, step_tol=1e-9)
+    plain = mvs_residual(traj, prob, f, g)
+    fine = uniform_partition(prob.time_grid, grid, n_time_bins=prob.time_grid.n_steps)
+    mu = build_measure([traj], grid.volumes, fine)
+    assert all(len(w) == 1 for row in mu.weights for w in row)
+    rep = mvs_residual(traj, prob, f, g, measure=mu)
+    assert (rep.lhs, rep.rhs) == (plain.lhs, plain.rhs)
+    coarse = uniform_partition(prob.time_grid, grid, n_time_bins=4, n_cell_groups=2)
+    rep = mvs_residual(traj, prob, f, g, measure=build_measure([traj], grid.volumes, coarse))
+    assert rep.slack != plain.slack
 
 
 def test_mvs_residual_zero_scenario():
