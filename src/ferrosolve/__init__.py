@@ -32,7 +32,7 @@ from .grid import Grid
 from .elliptic import AssembledSystem, FieldState
 from .rothe import (EnergyLedger, LoadSchedule, StepCertificate,
                     SteppedProblem, TimeGrid, Trajectory, average_loads,
-                    energy_report, interpolant_gap)
+                    interpolant_gap)
 from .young import (EmpiricalYoungMeasure, MVSResidualReport,
                     ReferencePartition, build_measure, convergence_study,
                     eval_F, measure_at_time, mvs_residual, uniform_partition)
@@ -52,7 +52,7 @@ __all__ = [
     "SteppedProblem", "TimeGrid", "Tolerances", "Trajectory",
     "UnsupportedFamily", "ValidationError", "assemble_block_A",
     "assemble_block_D", "average_loads", "build_measure", "convergence_study",
-    "energy_report", "eval_F", "fenchel_residual",
+    "eval_F", "fenchel_residual",
     "interpolant_gap", "isotropic_stiffness", "make_tensors",
     "measure_at_time", "mvs_residual",
     "pack_sym", "parse_scenario", "serialize_scenario", "uniform_partition",

@@ -191,11 +191,13 @@ def build_parser():
         p.add_argument("scenario", help="scenario configuration file")
         p.add_argument("--override-coercivity", action="store_true",
                        help="run even when the coercivity prerequisites fail")
-        if name != "check":
+        if name == "run":
             p.add_argument("--level", type=int, default=None,
                            help="dyadic time level (overrides the scenario)")
+        if name == "converge":
             p.add_argument("--levels", type=_levels_arg, default=None,
                            metavar="m0..m1", help="level range for studies")
+        if name != "check":
             p.add_argument("--out", default="out", help="output directory")
     return parser
 

@@ -45,15 +45,16 @@ class LinearSolveFailure(FerrosolveError):
 class StepSolveFailure(FerrosolveError):
     """A time step exhausted its iteration budget or stalled above its tolerance."""
 
-    def __init__(self, step_index, certificate, fixed_point_gap, rounding_floor=None):
+    def __init__(self, step_index, certificate, fixed_point_gap, lowest_certificate):
         self.step_index = step_index
         self.certificate = certificate
         self.fixed_point_gap = fixed_point_gap
-        self.rounding_floor = rounding_floor
-        floor = "" if rounding_floor is None else f", rounding floor {rounding_floor:.3e}"
+        #: the lowest certificate of the step's checks: the step_tol it met
+        self.lowest_certificate = lowest_certificate
         super().__init__(
             f"step {step_index} did not converge: certificate {certificate:.3e}, "
-            f"fixed-point gap {fixed_point_gap:.3e}{floor}"
+            f"fixed-point gap {fixed_point_gap:.3e}, "
+            f"lowest certificate {lowest_certificate:.3e}"
         )
 
 

@@ -130,7 +130,6 @@ class EnergyLedger:
     """Per-step energy bookkeeping backing the discrete a-priori estimate."""
 
     h: float
-    p_star: float                  # exponent of the rate norm
     dissipation: np.ndarray        # <rate, Sigma> integrated over the domain
     Ig_star_rate: np.ndarray
     Ig_Sigma: np.ndarray
@@ -141,7 +140,6 @@ class EnergyLedger:
 
     def slack(self):
         """RHS - LHS of the summed discrete energy inequality at every l."""
-        n = len(self.dissipation)
         lhs_running = np.cumsum(self.h * (self.Ig_star_rate + self.Ig_Sigma))
         lhs = lhs_running + self.quad_energy[1:] + self.If_energy[1:]
         work = np.cumsum(self.h * self.rate_norm * self.zhat_norm)
@@ -219,29 +217,16 @@ class SteppedProblem:
         lam_L = np.linalg.eigvalsh(self.L).max()
         return float(lam_D + lam_L + self.reg)
 
-    # -- inner products -------------------------------------------------
-
-    def _dot(self, a, b):
-        return float(np.sum(self.vol[:, None] * a * b))
-
-    def _p_norm(self, a, p):
-        mag = np.sqrt(np.sum(a * a, axis=-1))
-        if np.isinf(p):
-            return float(mag.max(initial=0.0))
-        return float(np.sum(self.vol * mag ** p) ** (1.0 / p))
-
     # -- certificate ----------------------------------------------------
 
-    def residual_parts(self, z, rate, zhat, Mm_z=None):
+    def residual_parts(self, z, rate, zhat, Mm_z):
         """Sigma, integrated Young-Fenchel residual and violation at z.
 
         The residual is taken at the flow-rule projection of Sigma onto the
         domain of g, plus the pairing of the rate with the projection's move;
         the violation is the largest distance of Sigma to that domain.
-        ``Mm_z`` is M_m z when the caller already has it.
+        ``Mm_z`` is M_m z.
         """
-        if Mm_z is None:
-            Mm_z = self.apply_Mm(z)
         Sigma = -Mm_z - full_grad(self.f, z, self.s) + zhat
         viol = float(self.g.violation(Sigma).max(initial=0.0))
         Sigma_in = self.g.project(Sigma)
@@ -249,17 +234,6 @@ class SteppedProblem:
         resid = resid + np.sum(rate * (Sigma_in - Sigma), axis=-1)
         total = float(np.sum(self.vol * np.maximum(resid, 0.0)))
         return Sigma, total, viol
-
-    def rounding_floor(self, rate, Sigma):
-        """eps * sum vol (|g(project(Sigma))| + |g*(rate)| + |<rate, Sigma>|).
-
-        The roundoff level of the integrated Young-Fenchel residual: a
-        certificate tolerance below it cannot be met.
-        """
-        terms = (np.abs(self.g.value(self.g.project(Sigma)))
-                 + np.abs(self.g.conjugate_value(rate))
-                 + np.abs(np.sum(rate * Sigma, axis=-1)))
-        return float(np.finfo(float).eps * np.sum(self.vol * terms))
 
     # -- single step -----------------------------------------------------
 
@@ -272,7 +246,9 @@ class SteppedProblem:
         by the prox of its conjugate, the quadratic by plain gradient steps.
         A non-finite certificate or fixed-point gap fails the step at once;
         so does a converged fixed point (gap <= fp_tol) whose best
-        certificate has not fallen for STALL_CHECKS consecutive checks.
+        certificate has not fallen for STALL_CHECKS consecutive checks.  The
+        failure carries that best certificate: the step_tol that would have
+        been met.
         """
         z_prev = np.asarray(z_prev, dtype=float)
         if not np.all(full_contains(self.f, z_prev, self.s)):
@@ -303,84 +279,75 @@ class SteppedProblem:
                     stalled += 1
                 if stalled >= STALL_CHECKS and fp <= fp_tol:
                     break
-        raise StepSolveFailure(-1, resid, fp, self.rounding_floor(rate, Sigma))
+        raise StepSolveFailure(-1, resid, fp, best)
 
     # -- full run --------------------------------------------------------
 
     def run(self, z0, zhat_steps, step_tol=1e-6, fp_tol=1e-10, max_iter=100000):
-        """March all 2^level steps; returns (Trajectory, EnergyLedger)."""
+        """March all 2^level steps; returns (Trajectory, EnergyLedger).
+
+        Each step starts from the previous node; M is applied once per node
+        and kept for the stress/field pair and the ledger.
+        """
         tg = self.time_grid
         z0 = np.asarray(z0, dtype=float)
         if not np.all(full_contains(self.f, z0, self.s)):
             raise DomainEscape("initial state outside the domain of the remanent energy")
+        zhat_steps = np.asarray(zhat_steps)
         N = tg.n_steps
         z_nodes = np.empty((N + 1,) + z0.shape)
         z_nodes[0] = z0
+        Mz = np.empty_like(z_nodes)
+        Mz[0] = self.apply_M(z0)
         Sigmas = np.empty((N,) + z0.shape)
-        sigma_E = np.empty((N,) + z0.shape)
         certs = []
-
-        p, p_star = self.g.p, self.g.p_star
-        ML0 = self.apply_M(z0) + z0 @ self.L.T
-        quad = [0.5 * self._dot(ML0, z0) + 0.5 * self.reg * self._dot(z0, z0)]
-        If_e = [self._integral_f(z0)]
-        diss, igs, ig, rn, zn = [], [], [], [], []
-
-        y_warm = None
         for n in range(N):
             try:
-                z, Sigma, cert = self.step(
+                z, Sigmas[n], cert = self.step(
                     z_nodes[n], zhat_steps[n], step_tol=step_tol,
-                    fp_tol=fp_tol, max_iter=max_iter, y0=y_warm)
+                    fp_tol=fp_tol, max_iter=max_iter)
             except StepSolveFailure as exc:
                 raise StepSolveFailure(n + 1, exc.certificate, exc.fixed_point_gap,
-                                       exc.rounding_floor) from exc
+                                       exc.lowest_certificate) from exc
             z_nodes[n + 1] = z
-            Sigmas[n] = Sigma
-            Mz = self.apply_M(z)
-            sigma_E[n] = -Mz + zhat_steps[n]
+            Mz[n + 1] = self.apply_M(z)
             certs.append(cert)
-            y_warm = z.copy()
+        traj = Trajectory(tg, z_nodes, Sigmas, zhat_steps - Mz[1:], certs, zhat_steps)
+        return traj, self._ledger(traj, Mz)
 
-            rate = (z - z_nodes[n]) / self.h
-            diss.append(self._dot(rate, Sigma))
-            igs.append(float(np.sum(self.vol * self.g.conjugate_value(rate))))
+    def _ledger(self, traj, Mz):
+        """Energy ledger of a finished trajectory, given M z at every node.
+
+        Every term integrates over the domain one node (or step) at a time,
+        as ``np.sum`` of that node alone would, so the ledger does not
+        depend on how many steps it covers.
+        """
+        vol, g = self.vol, self.g
+        z, rate, Sigma = traj.z_nodes, traj.rates, traj.Sigma
+
+        def integral(density):
+            return np.sum(density.reshape(len(density), -1), axis=1)
+
+        def p_norm(a, p):
+            mag = np.sqrt(np.sum(a * a, axis=-1))
+            # float_power is the C library pow, as a float64 scalar ** is;
+            # numpy's vectorized power differs from it in the last bit
+            return np.float_power(integral(vol * mag ** p), 1.0 / p)
+
+        vol_k = vol[:, None]
+        quad = (0.5 * integral(vol_k * (Mz + z @ self.L.T) * z)
+                + 0.5 * self.reg * integral(vol_k * z * z))
+        return EnergyLedger(
+            h=self.h,
+            dissipation=integral(vol_k * rate * Sigma),
+            Ig_star_rate=integral(vol * g.conjugate_value(rate)),
             # g at the projection: Sigma meets the domain of g to the step tolerance
-            ig.append(float(np.sum(self.vol * self.g.value(self.g.project(Sigma)))))
-            rn.append(self._p_norm(rate, p_star))
-            zn.append(self._p_norm(zhat_steps[n], p))
-            MLz = Mz + z @ self.L.T
-            quad.append(0.5 * self._dot(MLz, z) + 0.5 * self.reg * self._dot(z, z))
-            If_e.append(self._integral_f(z))
-
-        ledger = EnergyLedger(
-            h=self.h, p_star=p_star,
-            dissipation=np.asarray(diss), Ig_star_rate=np.asarray(igs),
-            Ig_Sigma=np.asarray(ig), rate_norm=np.asarray(rn),
-            zhat_norm=np.asarray(zn), quad_energy=np.asarray(quad),
-            If_energy=np.asarray(If_e),
+            Ig_Sigma=integral(vol * g.value(g.project(Sigma))),
+            rate_norm=p_norm(rate, g.p_star),
+            zhat_norm=p_norm(traj.zhat, g.p),
+            quad_energy=quad,
+            If_energy=integral(vol * full_value(self.f, z, self.s)),
         )
-        traj = Trajectory(tg, z_nodes, Sigmas, sigma_E, certs, np.asarray(zhat_steps))
-        return traj, ledger
-
-    def _integral_f(self, z):
-        vals = full_value(self.f, z, self.s)
-        return float(np.sum(self.vol * vals))
-
-
-def energy_report(ledger):
-    """Slack of the discrete a-priori inequality plus boundedness sequences."""
-    slack = ledger.slack()
-    lhs_partial = np.cumsum(ledger.h * (ledger.Ig_star_rate + ledger.Ig_Sigma))
-    return {
-        "slack": slack,
-        "dissipation": ledger.dissipation,
-        "partial_sums": lhs_partial,
-        "rate_pstar_norm": np.sum(ledger.h * ledger.rate_norm ** ledger.p_star)
-        ** (1.0 / ledger.p_star),
-        "sup_quad_energy": float(ledger.quad_energy.max()),
-        "sup_If": float(ledger.If_energy.max()),
-    }
 
 
 def interpolant_gap(traj, volumes, p_star=2.0, n_quad=24):

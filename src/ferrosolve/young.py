@@ -94,6 +94,19 @@ def _pooled_moments(atoms, weights, counts):
     return first, np.sqrt(_segment_sum(weights * dev, counts))
 
 
+def _cell_groups(partition):
+    """The cells of the partition's groups in group order, and their groups."""
+    groups = partition.cell_groups
+    return (np.concatenate(groups),
+            np.repeat(np.arange(len(groups)), [len(g) for g in groups]))
+
+
+def _time_bins(time_grid, edges):
+    """Time bin of each step: the bin of edges that holds the step's midpoint."""
+    mids = (np.arange(time_grid.n_steps) + 0.5) * time_grid.h
+    return np.clip(np.searchsorted(edges, mids, side="right") - 1, 0, len(edges) - 2)
+
+
 def _rows(flat, counts, ng):
     """Split flat along axis 0 into segments (views), ng segments per row."""
     ends = np.cumsum(counts).tolist()
@@ -115,17 +128,14 @@ def build_measure(trajectories, volumes, partition):
     edges = np.asarray(partition.time_edges, dtype=float)
     nt = len(edges) - 1
     ng = len(partition.cell_groups)
-    cells = np.concatenate(partition.cell_groups)
-    group = np.repeat(np.arange(ng), [len(g) for g in partition.cell_groups])
+    cells, group = _cell_groups(partition)
 
     labels, atoms, wts = [], [], []
     for tr in trajectories:
-        h = tr.time_grid.h
-        mids = (np.arange(tr.time_grid.n_steps) + 0.5) * h
-        bins = np.clip(np.searchsorted(edges, mids, side="right") - 1, 0, nt - 1)
+        bins = _time_bins(tr.time_grid, edges)
         labels.append((bins[:, None] * ng + group).ravel())
         atoms.append(tr.z_nodes[1:, cells].reshape(-1, k))
-        wts.append(np.tile(h * volumes[cells], len(bins)))
+        wts.append(np.tile(tr.time_grid.h * volumes[cells], len(bins)))
     labels = np.concatenate(labels)
     counts = np.bincount(labels, minlength=nt * ng)
     empty = np.flatnonzero(~counts.reshape(nt, ng).any(axis=1))
@@ -215,33 +225,24 @@ def mvs_residual(traj, problem, f_spec, g_spec, measure=None):
     h = traj.time_grid.h
     s = problem.s
     Lm = problem.L + problem.reg * np.eye(problem.L.shape[0])
-    F_bins = None
-    if measure is not None:
-        F_bins = eval_F(measure, f_spec, s)
-        edges = np.asarray(measure.partition.time_edges, dtype=float)
-        groups = measure.partition.cell_groups
-    lhs = 0.0
-    rhs = 0.0
-    rates = traj.rates
-    for n in range(traj.time_grid.n_steps):
-        z = traj.z_nodes[n + 1]
-        if F_bins is None:
-            F = full_grad(f_spec, z, s)
-        else:
-            mid = (n + 0.5) * h
-            i = int(np.clip(np.searchsorted(edges, mid, side="right") - 1,
-                            0, F_bins.shape[0] - 1))
-            F = np.empty_like(z)
-            for j, group in enumerate(groups):
-                F[group] = F_bins[i, j]
-        arg = traj.sigma_E[n] - z @ Lm.T - F
-        rate = rates[n]
-        arg_in = g_spec.project(arg)
-        corr = np.sum(rate * (arg_in - arg), axis=-1)
-        lhs += h * float(np.sum(vol * (g_spec.conjugate_value(rate) + g_spec.value(arg_in)
-                                       + corr)))
-        rhs += h * float(np.sum(vol * np.sum(rate * arg, axis=-1)))
-    return MVSResidualReport(lhs=lhs, rhs=rhs)
+    z = traj.z_nodes[1:]
+    if measure is None:
+        F = full_grad(f_spec, z, s)
+    else:
+        part = measure.partition
+        cells, group = _cell_groups(part)
+        bins = _time_bins(traj.time_grid, np.asarray(part.time_edges, dtype=float))
+        F = np.empty_like(z)
+        F[:, cells] = eval_F(measure, f_spec, s)[bins[:, None], group]
+    arg = traj.sigma_E - z @ Lm.T - F
+    rate = traj.rates
+    arg_in = g_spec.project(arg)
+    corr = np.sum(rate * (arg_in - arg), axis=-1)
+    lhs = h * np.sum(vol * (g_spec.conjugate_value(rate) + g_spec.value(arg_in) + corr),
+                     axis=1)
+    rhs = h * np.sum(vol * np.sum(rate * arg, axis=-1), axis=1)
+    # a running sum in step order, not np.sum's pairwise order
+    return MVSResidualReport(lhs=float(np.cumsum(lhs)[-1]), rhs=float(np.cumsum(rhs)[-1]))
 
 
 def convergence_study(results, f_spec, strain_dim, volumes, partition):

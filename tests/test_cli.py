@@ -415,6 +415,9 @@ _USAGE = [
     ("check_level", ["check", "--level", "4"]),
     ("check_levels", ["check", "--levels", "3..4"]),
     ("check_out", ["check", "--out", "{out}"]),
+    # run reads only --level, converge only --levels
+    ("run_levels", ["run", "--levels", "9..1", "--out", "{out}"]),
+    ("converge_level", ["converge", "--level", "0", "--out", "{out}"]),
 ]
 
 
@@ -447,7 +450,7 @@ def test_overflowing_tensor_exit_three(tmp_path, capsys, key):
 
 def test_help_exit_zero(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["run", "--help"])
+        main(["converge", "--help"])
     assert exc.value.code == 0
     assert "m0..m1" in capsys.readouterr().out
 

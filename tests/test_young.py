@@ -435,3 +435,66 @@ def test_build_measure_rejects_empty_time_bin(smooth_family):
     part = uniform_partition(runs[3][0].time_grid, grid, n_time_bins=16)
     with pytest.raises(ValueError, match="time bin 0 "):
         build_measure([runs[3][1]], grid.volumes, part)
+
+
+# Independent oracle for the weak-inequality residual: the per-step loop that
+# evaluated it before, with its own step -> time-bin lookup and a per-group
+# fill of the measure's driving force.
+
+
+def _oracle_mvs(traj, problem, f_spec, g_spec, measure=None):
+    vol = problem.vol
+    h = traj.time_grid.h
+    s = problem.s
+    Lm = problem.L + problem.reg * np.eye(problem.L.shape[0])
+    if measure is not None:
+        F_bins = eval_F(measure, f_spec, s)
+        edges = np.asarray(measure.partition.time_edges, dtype=float)
+    lhs = rhs = 0.0
+    for n in range(traj.time_grid.n_steps):
+        z = traj.z_nodes[n + 1]
+        if measure is None:
+            F = full_grad(f_spec, z, s)
+        else:
+            i = int(np.clip(np.searchsorted(edges, (n + 0.5) * h, side="right") - 1,
+                            0, F_bins.shape[0] - 1))
+            F = np.empty_like(z)
+            for j, group in enumerate(measure.partition.cell_groups):
+                F[group] = F_bins[i, j]
+        arg = traj.sigma_E[n] - z @ Lm.T - F
+        rate = (traj.z_nodes[n + 1] - traj.z_nodes[n]) / h
+        arg_in = g_spec.project(arg)
+        corr = np.sum(rate * (arg_in - arg), axis=-1)
+        lhs += h * float(np.sum(vol * (g_spec.conjugate_value(rate)
+                                       + g_spec.value(arg_in) + corr)))
+        rhs += h * float(np.sum(vol * np.sum(rate * arg, axis=-1)))
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("g", [PowerLaw(1.0, 2.0), PowerLaw(0.7, 3.0), BallIndicator(0.05)],
+                         ids=["power_p2", "power_p3", "ball"])
+def test_mvs_residual_matches_per_step_oracle(dim, g):
+    """Exact agreement at levels 3 and 5, without a measure and with the
+    measure of both levels on each uneven-group partition, on 8 cells in 1-D
+    and in 2-D."""
+    grid = Grid(dim, 8 if dim == 1 else 2)
+    if dim == 1:
+        t = make_tensors(1, 2.0, 1.0, coupling=0.5, hardening=0.3)
+        sched = LoadSchedule.uniform([0.0, 0.5, 1.0], [[0.0], [1.2], [-0.4]],
+                                     [0.0, 0.6, 0.1], grid)
+    else:
+        t = make_tensors(2, ("isotropic", 1.0, 1.0), 1.0,
+                         coupling=0.3 * np.eye(2, grid.strain_dim), hardening=0.2)
+        sched = LoadSchedule.uniform([0.0, 0.5, 1.0],
+                                     [[0.0, 0.0], [1.5, -0.8], [-0.5, 0.6]],
+                                     [0.0, 0.9, -0.3], grid)
+    sys_ = AssembledSystem(grid, t)
+    f = LogSaturationRadial(1.0)
+    runs = [_run(lv, grid, sys_, f, g, sched, step_tol=1e-9) for lv in (3, 5)]
+    measures = [None] + [build_measure([tr for _, tr in runs], _uneven_volumes(grid), part)
+                         for part in _partitions(runs[0][0].time_grid, grid)]
+    for prob, traj in runs:
+        for mu in measures:
+            rep = mvs_residual(traj, prob, f, g, measure=mu)
+            assert (rep.lhs, rep.rhs) == _oracle_mvs(traj, prob, f, g, measure=mu)
