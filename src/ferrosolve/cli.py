@@ -51,7 +51,14 @@ def _run_level(scn, system, level, outdir):
     grid = system.grid
     problem = scn.build_problem(level=level, system=system)
     schedule = scn.build_schedule(grid)
-    zhat = average_loads(system, schedule, problem.time_grid)
+    # finite loads can still overflow their trace; that is reported below
+    with np.errstate(all="ignore"):
+        zhat = average_loads(system, schedule, problem.time_grid)
+    bad = np.flatnonzero(~np.isfinite(zhat).reshape(len(zhat), -1).all(axis=1))
+    if len(bad):
+        raise ValidationError([
+            f"level {level}, step {bad[0] + 1}: the load trace is not finite "
+            "(the loads overflow it)"])
     z0 = scn.initial_state(grid)
     traj, ledger = problem.run(z0, zhat, step_tol=scn.tolerances.step_tol)
 

@@ -6,11 +6,17 @@ Each step solves the strictly convex problem
 
 whose optimality condition is exactly the discrete flow rule
 (z - z_prev)/h in  dI_g(Sigma) with Sigma = -M_m z - grad f(z) + z_hat and
-M_m = M + L + (1/m) I.  The step is solved by a three-operator splitting
-(prox of the rate term, prox of the remanent energy, gradient of the
-quadratic); the stopping rule is the integrated Young-Fenchel residual of
-the inclusion, so "this step is solved" is a convex-duality certificate,
-not an iterate-distance heuristic.
+M_m = M + L + (1/m) I.  The step is solved by Davis-Yin three-operator
+splitting (prox of the rate term, prox of the remanent energy, gradient of
+the quadratic) at the step gamma = 1.8 / bound, where the bound is at least
+lambda_max(M_m); Davis and Yin (Set-Valued Var. Anal. 2017) allow any
+gamma < 2 / lambda_max(M_m).  Type-II Anderson acceleration (memory
+AA_MEMORY) extrapolates the splitting variable from its recent history and
+restarts from the plain splitting step whenever the fixed-point residual
+rises.  Whatever the iteration, the stopping rule is the integrated
+Young-Fenchel residual of the inclusion at the current iterate, so "this
+step is solved" is a convex-duality certificate, not an iterate-distance
+heuristic.
 """
 
 from dataclasses import dataclass
@@ -25,6 +31,11 @@ CHECK_EVERY = 10
 #: consecutive certificate checks without a new best certificate, at a
 #: converged fixed point, after which a step is declared hopeless
 STALL_CHECKS = 50
+#: Anderson memory: how many past differences of the splitting variable and
+#: of its fixed-point residual the accelerated step combines
+AA_MEMORY = 5
+#: ridge of the Anderson least-squares solve, relative to the Gram trace
+AA_RIDGE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -176,6 +187,51 @@ class Trajectory:
         return self.z_nodes[n]
 
 
+class AndersonHistory:
+    """The last AA_MEMORY differences of the splitting variable (``dY``) and
+    of its fixed-point residual (``dR``), in ring buffers of shape
+    (AA_MEMORY, n), with the Gram matrix ``dR dR^T`` kept up to date by one
+    row and column per push.  Only the ``filled`` slots, those written since
+    the last reset, are read."""
+
+    def __init__(self, n):
+        self.dY = np.zeros((AA_MEMORY, n))
+        self.dR = np.zeros((AA_MEMORY, n))
+        self.gram = np.zeros((AA_MEMORY, AA_MEMORY))
+        self.pushes = 0
+
+    @property
+    def filled(self):
+        return min(self.pushes, AA_MEMORY)
+
+    def reset(self):
+        self.pushes = 0
+
+    def push(self, dy, dr):
+        j = self.pushes % AA_MEMORY
+        self.dY[j] = dy
+        self.dR[j] = dr
+        col = self.dR @ self.dR[j]
+        self.gram[j, :] = col
+        self.gram[:, j] = col
+        self.pushes += 1
+
+    def extrapolate(self, r):
+        """Type-II Anderson move from the current iterate with residual r.
+
+        alpha minimizes |r - dR^T alpha| (with a ridge of AA_RIDGE times
+        the Gram trace); the move is r - (dY + dR)^T alpha, which is the
+        plain move r when the history is empty or degenerate.
+        """
+        m = self.filled
+        G = self.gram[:m, :m]
+        scale = G.trace()
+        if not 0.0 < scale < np.inf:    # empty history, zero or non-finite differences
+            return r
+        alpha = np.linalg.solve(G + AA_RIDGE * scale * np.eye(m), self.dR[:m] @ r)
+        return r - alpha @ self.dY[:m] - alpha @ self.dR[:m]
+
+
 class SteppedProblem:
     """One dyadic level of the discretized evolution on a fixed grid."""
 
@@ -197,7 +253,7 @@ class SteppedProblem:
         self.L = system.tensors.L_hard
 
         self.lam_max = self._lam_max_bound()
-        self.gamma = 0.9 / self.lam_max
+        self.gamma = 1.8 / self.lam_max
 
     # -- operator ------------------------------------------------------
 
@@ -243,7 +299,17 @@ class SteppedProblem:
 
         Davis-Yin three-operator splitting: the remanent energy enters by its
         prox (which keeps iterates strictly inside its domain), the rate term
-        by the prox of its conjugate, the quadratic by plain gradient steps.
+        by the prox of its conjugate, the quadratic by plain gradient steps
+        of size gamma = 1.8 / lam_max, admissible because lam_max bounds the
+        spectrum of M_m and Davis-Yin converges for gamma < 2 / lambda_max.
+        The splitting map is T(y) = y + r(y) with the fixed-point residual
+        r = xA - xB.  Each iteration evaluates it once, at the current y,
+        and moves by the type-II Anderson extrapolation of the last
+        AA_MEMORY differences of y and r (:class:`AndersonHistory`); when
+        |r| rises above its previous value the history is dropped and the
+        move is the plain Davis-Yin step r.  A step is accepted only when,
+        at a check, the certificate at xB = prox_f(y) is within step_tol
+        and the fixed-point gap max |r| within fp_tol.
         A non-finite certificate or fixed-point gap fails the step at once;
         so does a converged fixed point (gap <= fp_tol) whose best
         certificate has not fallen for STALL_CHECKS consecutive checks.  The
@@ -255,6 +321,9 @@ class SteppedProblem:
             raise DomainEscape("previous state left the domain of the remanent energy")
         gam = self.gamma
         y = z_prev.copy() if y0 is None else np.asarray(y0, dtype=float).copy()
+        y_flat = y.reshape(-1)
+        history = AndersonHistory(y.size)
+        y_last, r_last, r_norm_last = np.empty_like(y_flat), np.empty_like(y_flat), np.inf
         best, stalled = np.inf, 0
         for it in range(1, max_iter + 1):
             xB = full_prox(self.f, gam, y, self.s)
@@ -264,7 +333,16 @@ class SteppedProblem:
             u = self.g.conjugate_prox(gam / self.h, (w - z_prev) / self.h)
             xA = z_prev + self.h * u
             delta = xA - xB
-            y += delta
+            r = delta.reshape(-1)
+            r_norm = float(np.sqrt(r @ r))
+            if it > 1 and r_norm <= r_norm_last:
+                history.push(y_flat - y_last, r - r_last)
+                move = history.extrapolate(r)
+            else:                 # first iteration, or the residual rose: restart
+                history.reset()
+                move = r
+            y_last[:], r_last[:], r_norm_last = y_flat, r, r_norm
+            y_flat += move
             if it % CHECK_EVERY == 0 or it == max_iter:
                 fp = float(np.abs(delta).max(initial=0.0))
                 rate = (xB - z_prev) / self.h

@@ -94,11 +94,18 @@ def _pooled_moments(atoms, weights, counts):
     return first, np.sqrt(_segment_sum(weights * dev, counts))
 
 
-def _cell_groups(partition):
-    """The cells of the partition's groups in group order, and their groups."""
+def _cell_groups(partition, n_cells):
+    """The cells of the partition's groups in group order, and their groups.
+
+    Raises ValueError unless the groups partition cells 0 .. n_cells - 1,
+    every cell in exactly one group.
+    """
     groups = partition.cell_groups
-    return (np.concatenate(groups),
-            np.repeat(np.arange(len(groups)), [len(g) for g in groups]))
+    cells = np.concatenate(groups)
+    if not np.array_equal(np.sort(cells), np.arange(n_cells)):
+        raise ValueError(f"the cell groups do not partition the {n_cells} grid cells: "
+                         "every cell must lie in exactly one group")
+    return cells, np.repeat(np.arange(len(groups)), [len(g) for g in groups])
 
 
 def _time_bins(time_grid, edges):
@@ -124,11 +131,11 @@ def build_measure(trajectories, volumes, partition):
     partition cell holds its atoms in the order trajectory, step, position in
     the group; the moments are segment sums over the sorted atoms.
     """
-    _, k = _check_family(trajectories)
+    n_cells, k = _check_family(trajectories)
     edges = np.asarray(partition.time_edges, dtype=float)
     nt = len(edges) - 1
     ng = len(partition.cell_groups)
-    cells, group = _cell_groups(partition)
+    cells, group = _cell_groups(partition, n_cells)
 
     labels, atoms, wts = [], [], []
     for tr in trajectories:
@@ -230,9 +237,9 @@ def mvs_residual(traj, problem, f_spec, g_spec, measure=None):
         F = full_grad(f_spec, z, s)
     else:
         part = measure.partition
-        cells, group = _cell_groups(part)
+        cells, group = _cell_groups(part, z.shape[1])
         bins = _time_bins(traj.time_grid, np.asarray(part.time_edges, dtype=float))
-        F = np.empty_like(z)
+        F = np.zeros_like(z)
         F[:, cells] = eval_F(measure, f_spec, s)[bins[:, None], group]
     arg = traj.sigma_E - z @ Lm.T - F
     rate = traj.rates

@@ -294,6 +294,20 @@ def test_non_finite_value_exit_three_with_line(tmp_path, capsys, name, old, new,
     assert err.startswith(f"ValidationError: {key} at line {lineno}: non-finite")
 
 
+@pytest.mark.parametrize("command,level", [("run", 4), ("converge", 3)])
+def test_overflowing_load_exit_three(tmp_path, capsys, command, level):
+    """A finite load whose trace overflows is a validation error naming the
+    first non-finite step, raised before any step is solved."""
+    text = REFERENCE.replace("row = 1.0 0.8 0.4", "row = 1.0 0.8 1e308")
+    scn = _write(tmp_path, "huge.cfg", text)
+    out = tmp_path / "out"
+    assert main([command, scn, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"ValidationError: level {level}, step \d+: the load trace "
+                        r"is not finite \(the loads overflow it\)\n", err)
+    assert os.listdir(out) == []
+
+
 def test_run_level_zero_exit_three(tmp_path, capsys):
     scn = _write(tmp_path, "ref.cfg", REFERENCE)
     assert main(["run", scn, "--level", "0", "--out", str(tmp_path / "o")]) == 3

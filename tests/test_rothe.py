@@ -7,8 +7,8 @@ from ferrosolve import (AssembledSystem, BallIndicator, Grid,
                         LoadSchedule, LogSaturationRadial, PowerLaw,
                         Quadratic, StepSolveFailure, SteppedProblem, TimeGrid,
                         average_loads, interpolant_gap, make_tensors)
-from ferrosolve.potentials import full_value
-from ferrosolve.rothe import _pw_linear_average
+from ferrosolve.potentials import full_prox, full_value
+from ferrosolve.rothe import AA_MEMORY, AndersonHistory, _pw_linear_average
 
 
 def _single_cell_problem(f_spec, g_spec, level=3, hardening=0.2, coupling=0.6):
@@ -196,7 +196,8 @@ def test_discrete_chain_rule_quadratic_f():
 @pytest.mark.parametrize("dim,n", [(1, 6), (2, 3), (3, 2)])
 def test_lam_max_bounds_dense_spectrum(dim, n):
     """The closed-form step-size bound is at least the largest eigenvalue of
-    M_m, computed from the dense oracle in the volume-weighted inner product."""
+    M_m, computed from the dense oracle in the volume-weighted inner product,
+    so the step gamma = 1.8 / bound meets Davis-Yin's gamma < 2 / lambda_max."""
     rng = np.random.default_rng(40 + dim)
     s = dim * (dim + 1) // 2
     t = make_tensors(dim, ("isotropic", 1.0, 1.2),
@@ -214,7 +215,8 @@ def test_lam_max_bounds_dense_spectrum(dim, n):
     S = w[:, None] * Mm / w[None, :]
     top = np.linalg.eigvalsh(0.5 * (S + S.T)).max()
     assert prob.lam_max >= top * (1.0 - 1e-12)
-    assert prob.gamma == pytest.approx(0.9 / prob.lam_max)
+    assert prob.gamma == pytest.approx(1.8 / prob.lam_max)
+    assert prob.gamma * top < 2.0
 
 
 def test_non_finite_step_fails_fast():
@@ -397,3 +399,59 @@ def test_run_and_ledger_match_per_step_oracle(dim, g_spec):
     if isinstance(g_spec, BallIndicator):
         # the projection onto the ball is active on some step
         assert any(c.constraint_violation > 0.0 for c in traj.certificates)
+
+
+# ---------------------------------------------------------------------------
+# Independent oracle for the accelerated step: the plain Davis-Yin iteration
+# at the conservative step 0.9 / bound, on the dense M_m, run to a fixed-point
+# gap of 1e-13.
+
+
+def _plain_davis_yin(prob, z_prev, zhat, fp_tol=1e-13, max_iter=200000):
+    grid = prob.system.grid
+    Mm = (prob.system.assemble_M_matrix()
+          + np.kron(np.eye(grid.n_cells), prob.L) + prob.reg * np.eye(z_prev.size))
+    gam, h = 0.9 / prob.lam_max, prob.h
+    y = z_prev.copy()
+    for _ in range(max_iter):
+        xB = full_prox(prob.f, gam, y, prob.s)
+        grad = (Mm @ xB.ravel()).reshape(xB.shape) - zhat
+        u = prob.g.conjugate_prox(gam / h, (2.0 * xB - y - gam * grad - z_prev) / h)
+        delta = z_prev + h * u - xB
+        y += delta
+        if np.abs(delta).max() <= fp_tol:
+            return full_prox(prob.f, gam, y, prob.s)
+    raise AssertionError("the plain Davis-Yin oracle did not converge")
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("g_spec", _G_SPECS, ids=_G_IDS)
+def test_accelerated_step_matches_plain_davis_yin(dim, g_spec):
+    prob, z0, zhat = _oracle_case(dim, g_spec)
+    traj, _ = prob.run(z0, zhat, step_tol=1e-11, fp_tol=1e-12)
+    for n in range(prob.time_grid.n_steps):
+        want = _plain_davis_yin(prob, traj.z_nodes[n], zhat[n])
+        assert np.abs(traj.z_nodes[n + 1] - want).max() <= 1e-9, n
+
+
+def test_anderson_gram_matches_ring_buffer():
+    """After more pushes than the memory holds (so the ring buffer wraps),
+    the Gram matrix updated one row and column at a time equals dR dR^T
+    recomputed from the buffer, and the move uses the least-squares
+    coefficients of the residual on dR."""
+    rng = np.random.default_rng(5)
+    n = 40
+    hist = AndersonHistory(n)
+    for pushes in range(1, 2 * AA_MEMORY + 2):
+        hist.push(rng.standard_normal(n), rng.standard_normal(n))
+        m = min(pushes, AA_MEMORY)
+        assert hist.filled == m
+        dR = hist.dR[:m]
+        assert np.allclose(hist.gram[:m, :m], dR @ dR.T, rtol=1e-13, atol=1e-12)
+    assert np.allclose(hist.gram, hist.dR @ hist.dR.T, rtol=1e-13, atol=1e-12)
+    r = rng.standard_normal(n)
+    alpha = np.linalg.lstsq(hist.dR.T, r, rcond=None)[0]
+    want = r - (hist.dY + hist.dR).T @ alpha
+    assert np.allclose(hist.extrapolate(r), want, rtol=1e-8, atol=1e-10)
+    hist.reset()
+    assert hist.filled == 0 and np.array_equal(hist.extrapolate(r), r)

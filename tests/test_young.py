@@ -1,5 +1,7 @@
 """Empirical measure pooling, averaged driving force, weak-inequality residual."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -498,3 +500,21 @@ def test_mvs_residual_matches_per_step_oracle(dim, g):
         for mu in measures:
             rep = mvs_residual(traj, prob, f, g, measure=mu)
             assert (rep.lhs, rep.rhs) == _oracle_mvs(traj, prob, f, g, measure=mu)
+
+
+@pytest.mark.parametrize("groups", [(np.array([0, 1]),),
+                                    (np.arange(5), np.arange(4, 8))],
+                         ids=["cover_0_1_of_8", "overlapping"])
+def test_non_partition_of_cells_rejected(smooth_family, groups):
+    """Cell groups that miss a cell or hold one twice are rejected by both the
+    pooling and the weak-inequality residual, which would otherwise read
+    driving forces that no group supplies."""
+    grid, sys_, f, g, runs = smooth_family
+    prob, traj = runs[3]
+    bad = ReferencePartition(time_edges=np.array([0.0, 0.5, 1.0]), cell_groups=groups)
+    with pytest.raises(ValueError, match="do not partition the 8 grid cells"):
+        build_measure([traj], grid.volumes, bad)
+    good = uniform_partition(prob.time_grid, grid, n_time_bins=2, n_cell_groups=2)
+    mu = dataclasses.replace(build_measure([traj], grid.volumes, good), partition=bad)
+    with pytest.raises(ValueError, match="do not partition the 8 grid cells"):
+        mvs_residual(traj, prob, f, g, measure=mu)
