@@ -45,16 +45,20 @@ class LinearSolveFailure(FerrosolveError):
 class StepSolveFailure(FerrosolveError):
     """A time step exhausted its iteration budget or stalled above its tolerance."""
 
-    def __init__(self, step_index, certificate, fixed_point_gap, lowest_certificate):
+    def __init__(self, step_index, certificate, fixed_point_gap, lowest_certificate,
+                 load_scale):
         self.step_index = step_index
         self.certificate = certificate
         self.fixed_point_gap = fixed_point_gap
         #: the lowest certificate of the step's checks: the step_tol it met
         self.lowest_certificate = lowest_certificate
+        #: max |zhat| of the step: a huge load drives its products to overflow
+        self.load_scale = load_scale
         super().__init__(
             f"step {step_index} did not converge: certificate {certificate:.3e}, "
             f"fixed-point gap {fixed_point_gap:.3e}, "
-            f"lowest certificate {lowest_certificate:.3e}"
+            f"lowest certificate {lowest_certificate:.3e}, "
+            f"load scale max|zhat| {load_scale:.3e}"
         )
 
 

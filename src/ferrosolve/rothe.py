@@ -13,10 +13,12 @@ lambda_max(M_m); Davis and Yin (Set-Valued Var. Anal. 2017) allow any
 gamma < 2 / lambda_max(M_m).  Type-II Anderson acceleration (memory
 AA_MEMORY) extrapolates the splitting variable from its recent history and
 restarts from the plain splitting step whenever the fixed-point residual
-rises.  Whatever the iteration, the stopping rule is the integrated
-Young-Fenchel residual of the inclusion at the current iterate, so "this
-step is solved" is a convex-duality certificate, not an iterate-distance
-heuristic.
+rises.  Every iteration forms the fixed-point gap max |xA - xB| that
+Davis and Yin measure progress by; only when it is within its tolerance is
+the integrated Young-Fenchel residual of the inclusion evaluated at the
+current iterate, and the step stops at the first iterate that passes both.
+So "this step is solved" is a convex-duality certificate, not an
+iterate-distance heuristic.
 """
 
 from dataclasses import dataclass
@@ -26,10 +28,8 @@ import numpy as np
 from .errors import DomainEscape, StepSolveFailure
 from .potentials import fenchel_residual, full_contains, full_grad, full_prox, full_value
 
-#: iterations between two certificate checks of a step
-CHECK_EVERY = 10
-#: consecutive certificate checks without a new best certificate, at a
-#: converged fixed point, after which a step is declared hopeless
+#: consecutive certificate checks (each at a converged fixed-point gap)
+#: without a new best certificate, after which a step is declared hopeless
 STALL_CHECKS = 50
 #: Anderson memory: how many past differences of the splitting variable and
 #: of its fixed-point residual the accelerated step combines
@@ -260,9 +260,6 @@ class SteppedProblem:
     def apply_M(self, z):
         return self.system.apply_M(z)
 
-    def apply_Mm(self, z):
-        return self.apply_M(z) + z @ self.L.T + self.reg * z
-
     def _lam_max_bound(self):
         """Upper bound lambda_max(D) + lambda_max(L) + reg on the spectrum of M_m.
 
@@ -295,7 +292,7 @@ class SteppedProblem:
 
     def step(self, z_prev, zhat, step_tol=1e-6, fp_tol=1e-10, max_iter=100000,
              y0=None):
-        """Solve one implicit step; returns (z, Sigma, certificate).
+        """Solve one implicit step; returns (z, Sigma, certificate, M z).
 
         Davis-Yin three-operator splitting: the remanent energy enters by its
         prox (which keeps iterates strictly inside its domain), the rate term
@@ -307,15 +304,19 @@ class SteppedProblem:
         and moves by the type-II Anderson extrapolation of the last
         AA_MEMORY differences of y and r (:class:`AndersonHistory`); when
         |r| rises above its previous value the history is dropped and the
-        move is the plain Davis-Yin step r.  A step is accepted only when,
-        at a check, the certificate at xB = prox_f(y) is within step_tol
-        and the fixed-point gap max |r| within fp_tol.
-        A non-finite certificate or fixed-point gap fails the step at once;
-        so does a converged fixed point (gap <= fp_tol) whose best
-        certificate has not fallen for STALL_CHECKS consecutive checks.  The
-        failure carries that best certificate: the step_tol that would have
-        been met.
+        move is the plain Davis-Yin step r.
+        Every iteration takes the fixed-point gap max |r|; the certificate
+        at xB = prox_f(y) is checked only when the gap is within fp_tol (and
+        at the last iteration, so that a failure carries one).  The step is
+        accepted at the first iterate whose gap is within fp_tol and whose
+        certificate is within step_tol, and M xB of that iterate is returned
+        with it.  A non-finite gap or certificate fails the step at once; so
+        do STALL_CHECKS consecutive checks without a new best certificate.
+        The failure carries that best certificate (the step_tol that would
+        have been met) and the load scale max |zhat|.
         """
+        if max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {max_iter}")
         z_prev = np.asarray(z_prev, dtype=float)
         if not np.all(full_contains(self.f, z_prev, self.s)):
             raise DomainEscape("previous state left the domain of the remanent energy")
@@ -324,15 +325,32 @@ class SteppedProblem:
         y_flat = y.reshape(-1)
         history = AndersonHistory(y.size)
         y_last, r_last, r_norm_last = np.empty_like(y_flat), np.empty_like(y_flat), np.inf
-        best, stalled = np.inf, 0
+        resid, best, stalled = np.nan, np.inf, 0
         for it in range(1, max_iter + 1):
             xB = full_prox(self.f, gam, y, self.s)
-            Mm_xB = self.apply_Mm(xB)
+            M_xB = self.apply_M(xB)
+            Mm_xB = M_xB + xB @ self.L.T + self.reg * xB
             grad = Mm_xB - zhat
             w = 2.0 * xB - y - gam * grad
             u = self.g.conjugate_prox(gam / self.h, (w - z_prev) / self.h)
             xA = z_prev + self.h * u
             delta = xA - xB
+            fp = float(np.abs(delta).max(initial=0.0))
+            if not np.isfinite(fp):
+                break
+            if fp <= fp_tol or it == max_iter:
+                rate = (xB - z_prev) / self.h
+                Sigma, resid, viol = self.residual_parts(xB, rate, zhat, Mm_xB)
+                if not np.isfinite(resid):
+                    break
+                if resid <= step_tol and fp <= fp_tol:
+                    return xB, Sigma, StepCertificate(resid, viol, fp, it), M_xB
+                if resid < best:
+                    best, stalled = resid, 0
+                else:
+                    stalled += 1
+                if stalled >= STALL_CHECKS:
+                    break
             r = delta.reshape(-1)
             r_norm = float(np.sqrt(r @ r))
             if it > 1 and r_norm <= r_norm_last:
@@ -343,30 +361,19 @@ class SteppedProblem:
                 move = r
             y_last[:], r_last[:], r_norm_last = y_flat, r, r_norm
             y_flat += move
-            if it % CHECK_EVERY == 0 or it == max_iter:
-                fp = float(np.abs(delta).max(initial=0.0))
-                rate = (xB - z_prev) / self.h
-                Sigma, resid, viol = self.residual_parts(xB, rate, zhat, Mm_xB)
-                if not (np.isfinite(resid) and np.isfinite(fp)):
-                    break
-                if resid <= step_tol and fp <= fp_tol:
-                    return xB, Sigma, StepCertificate(resid, viol, fp, it)
-                if resid < best:
-                    best, stalled = resid, 0
-                else:
-                    stalled += 1
-                if stalled >= STALL_CHECKS and fp <= fp_tol:
-                    break
-        raise StepSolveFailure(-1, resid, fp, best)
+        raise StepSolveFailure(-1, resid, fp, best, float(np.abs(zhat).max(initial=0.0)))
 
     # -- full run --------------------------------------------------------
 
     def run(self, z0, zhat_steps, step_tol=1e-6, fp_tol=1e-10, max_iter=100000):
         """March all 2^level steps; returns (Trajectory, EnergyLedger).
 
-        Each step starts from the previous node; M is applied once per node
-        and kept for the stress/field pair and the ledger.
+        Each step starts from the previous node.  M z is kept at every node
+        for the stress/field pair and the ledger: applied once to z0 and
+        taken from the step at every later node.
         """
+        if max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {max_iter}")
         tg = self.time_grid
         z0 = np.asarray(z0, dtype=float)
         if not np.all(full_contains(self.f, z0, self.s)):
@@ -381,14 +388,12 @@ class SteppedProblem:
         certs = []
         for n in range(N):
             try:
-                z, Sigmas[n], cert = self.step(
+                z_nodes[n + 1], Sigmas[n], cert, Mz[n + 1] = self.step(
                     z_nodes[n], zhat_steps[n], step_tol=step_tol,
                     fp_tol=fp_tol, max_iter=max_iter)
             except StepSolveFailure as exc:
                 raise StepSolveFailure(n + 1, exc.certificate, exc.fixed_point_gap,
-                                       exc.lowest_certificate) from exc
-            z_nodes[n + 1] = z
-            Mz[n + 1] = self.apply_M(z)
+                                       exc.lowest_certificate, exc.load_scale) from exc
             certs.append(cert)
         traj = Trajectory(tg, z_nodes, Sigmas, zhat_steps - Mz[1:], certs, zhat_steps)
         return traj, self._ledger(traj, Mz)

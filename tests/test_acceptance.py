@@ -101,7 +101,7 @@ def test_acceptance_03_step_oracles():
     h = prob.h
     z_prev = np.array([[0.1, -0.3]])
     zhat = np.array([[0.7, 0.4]])
-    z, _, _ = prob.step(z_prev, zhat, step_tol=1e-14, fp_tol=1e-13)
+    z, _, _, _ = prob.step(z_prev, zhat, step_tol=1e-14, fp_tol=1e-13)
     Mm = sys_.assemble_M_matrix() + prob.L + prob.reg * np.eye(2)
     A = np.eye(2) / (2 * c_g * h) + Mm + H
     v_ref = np.linalg.solve(A, zhat[0] + z_prev[0] / (2 * c_g * h))
@@ -112,7 +112,7 @@ def test_acceptance_03_step_oracles():
     prob2 = SteppedProblem(sys_, f_spec, g_spec, 2, T=1.0)
     z_prev2 = np.array([[0.05, 0.1]])
     zhat2 = np.array([[0.9, 0.8]])
-    z2, _, _ = prob2.step(z_prev2, zhat2, step_tol=1e-12, fp_tol=1e-12)
+    z2, _, _, _ = prob2.step(z_prev2, zhat2, step_tol=1e-12, fp_tol=1e-12)
     Mm2 = sys_.assemble_M_matrix() + prob2.L + prob2.reg * np.eye(2)
     r_grid = np.linspace(-1.0, 1.0, 400)
     P_grid = np.linspace(-0.999, 0.999, 400)
@@ -139,8 +139,8 @@ def test_acceptance_04_inclusion_certificates_and_uniqueness():
         z_prev, z_ref = traj.z_nodes[n], traj.z_nodes[n + 1]
         for _ in range(5):
             y0 = z_prev + 0.5 * rng.standard_normal(z_prev.shape)
-            z, _, _ = prob.step(z_prev, zhat[n], step_tol=1e-6, fp_tol=1e-10,
-                                y0=y0)
+            z, _, _, _ = prob.step(z_prev, zhat[n], step_tol=1e-6, fp_tol=1e-10,
+                                   y0=y0)
             worst_restart = max(worst_restart, np.abs(z - z_ref).max())
     ok = worst_cert <= 1e-6 and worst_restart <= 1e-7
     _report(4, ok, f"max certificate={worst_cert:.2e} (<=1e-6), "

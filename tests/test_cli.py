@@ -308,6 +308,18 @@ def test_overflowing_load_exit_three(tmp_path, capsys, command, level):
     assert os.listdir(out) == []
 
 
+def test_huge_finite_load_names_its_scale(tmp_path, capsys):
+    """A load whose trace is finite but drives the stepper's products to
+    overflow fails the step (exit 2), and the message names the load scale."""
+    text = REFERENCE.replace("row = 1.0 0.8 0.4", "row = 1.0 0.8 1e200")
+    scn = _write(tmp_path, "huge.cfg", text)
+    assert main(["run", scn, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    match = re.search(r"StepSolveFailure: step 1 did not converge: .*"
+                      r"load scale max\|zhat\| (\S+)\n", err)
+    assert match and 1e190 < float(match.group(1)) < 1e210
+
+
 def test_run_level_zero_exit_three(tmp_path, capsys):
     scn = _write(tmp_path, "ref.cfg", REFERENCE)
     assert main(["run", scn, "--level", "0", "--out", str(tmp_path / "o")]) == 3

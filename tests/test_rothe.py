@@ -65,7 +65,7 @@ def test_step_matches_closed_form_linear_oracle():
     z_prev = np.array([[0.1, -0.3]])
     zhat = np.array([[0.7, 0.4]])
 
-    z, Sigma, cert = prob.step(z_prev, zhat, step_tol=1e-14, fp_tol=1e-13)
+    z, Sigma, cert, _ = prob.step(z_prev, zhat, step_tol=1e-14, fp_tol=1e-13)
 
     # optimality: (v - z_prev)/(2 c h) + (M_m + H) v = zhat + z_prev/(2 c h)
     Mm = sys_.assemble_M_matrix() + prob.L + prob.reg * np.eye(2)
@@ -86,7 +86,7 @@ def test_step_matches_grid_search_oracle():
     h = prob.h
     z_prev = np.array([[0.05, 0.1]])
     zhat = np.array([[0.9, 0.8]])
-    z, Sigma, cert = prob.step(z_prev, zhat, step_tol=1e-12, fp_tol=1e-12)
+    z, Sigma, cert, _ = prob.step(z_prev, zhat, step_tol=1e-12, fp_tol=1e-12)
 
     # brute force on a 400 x 400 lattice over (r, P)
     Mm = sys_.assemble_M_matrix() + prob.L + prob.reg * np.eye(2)
@@ -131,7 +131,7 @@ def test_step_uniqueness_random_restarts():
     z_ref = traj.z_nodes[n + 1]
     for _ in range(5):
         y0 = z_prev + 0.5 * rng.standard_normal(z_prev.shape)
-        z, _, _ = prob.step(z_prev, zhat[n], step_tol=1e-10, fp_tol=1e-12, y0=y0)
+        z, _, _, _ = prob.step(z_prev, zhat[n], step_tol=1e-10, fp_tol=1e-12, y0=y0)
         assert np.abs(z - z_ref).max() <= 1e-7
 
 
@@ -231,7 +231,43 @@ def test_non_finite_step_fails_fast():
     zhat = np.full((grid.n_cells, 2), np.nan)
     with pytest.raises(StepSolveFailure):
         prob.step(np.zeros((grid.n_cells, 2)), zhat, max_iter=100000)
-    assert len(calls) <= 11
+    assert len(calls) <= 1
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_iteration_budget_below_one_rejected(max_iter):
+    grid, prob, zhat, calls = _counted_unattainable_problem()
+    z0 = np.zeros((grid.n_cells, 2))
+    with pytest.raises(ValueError, match="max_iter must be >= 1"):
+        prob.step(z0, zhat[0], max_iter=max_iter)
+    with pytest.raises(ValueError, match="max_iter must be >= 1"):
+        prob.run(z0, zhat, max_iter=max_iter)
+    assert calls == []
+
+
+@pytest.mark.parametrize("g_spec", [PowerLaw(1.0, 2.0), PowerLaw(1.0, 3.0),
+                                    BallIndicator(0.1), BallIndicator(0.05)],
+                         ids=["power_p2", "power_p3", "ball_0.1", "ball_0.05"])
+def test_step_stops_at_first_certified_iterate(g_spec):
+    """No iterate before the accepted one had both a converged gap and a
+    certificate within step_tol: the same step with one iteration less
+    fails.  And M is applied once per iteration plus once to z0, the
+    accepted iterate's M z being reused for its node (that it is the same
+    M z is checked against the per-step oracle below)."""
+    grid, prob, zhat, _, _ = _reference_run(level=3, g_spec=g_spec)
+    calls = []
+    apply_M = prob.apply_M
+    prob.apply_M = lambda z: calls.append(1) or apply_M(z)
+    traj, _ = prob.run(np.zeros((grid.n_cells, grid.internal_dim)), zhat,
+                       step_tol=1e-9, fp_tol=1e-11)
+    iterations = [c.iterations for c in traj.certificates]
+    assert len(calls) == 1 + sum(iterations)
+    for n, k in enumerate(iterations):
+        if k == 1:
+            continue
+        with pytest.raises(StepSolveFailure):
+            prob.step(traj.z_nodes[n], zhat[n], step_tol=1e-9, fp_tol=1e-11,
+                      max_iter=k - 1)
 
 
 def test_unattainable_tolerance_raises():
@@ -339,8 +375,8 @@ def _oracle_run(prob, z0, zhat, step_tol, fp_tol):
     terms["If_energy"] = [I_f(z0)]
     y_warm = None
     for n in range(prob.time_grid.n_steps):
-        z, Sigma, _ = prob.step(nodes[-1], zhat[n], step_tol=step_tol,
-                                fp_tol=fp_tol, y0=y_warm)
+        z, Sigma, _, _ = prob.step(nodes[-1], zhat[n], step_tol=step_tol,
+                                   fp_tol=fp_tol, y0=y_warm)
         Mz = prob.apply_M(z)
         sigma_E.append(-Mz + zhat[n])
         y_warm = z.copy()
