@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -313,10 +314,13 @@ def test_huge_finite_load_names_its_scale(tmp_path, capsys):
     overflow fails the step (exit 2), and the message names the load scale."""
     text = REFERENCE.replace("row = 1.0 0.8 0.4", "row = 1.0 0.8 1e200")
     scn = _write(tmp_path, "huge.cfg", text)
-    assert main(["run", scn, "--out", str(tmp_path / "out")]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", scn, "--out", str(tmp_path / "out")]) == 2
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     err = capsys.readouterr().err
-    match = re.search(r"StepSolveFailure: step 1 did not converge: .*"
-                      r"load scale max\|zhat\| (\S+)\n", err)
+    match = re.fullmatch(r"StepSolveFailure: step 1 did not converge: .*"
+                         r"load scale max\|zhat\| (\S+)\n", err)
     assert match and 1e190 < float(match.group(1)) < 1e210
 
 
