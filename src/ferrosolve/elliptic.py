@@ -230,31 +230,3 @@ class AssembledSystem:
             e = e.reshape(self.grid.n_cells, self.grid.internal_dim)
             cols[:, j] = ((e - self.project_Q(e)) @ self.block_D.matrix.T).ravel()
         return cols
-
-    # ------------------------------------------------------------------
-
-    def field_norms(self, fields):
-        """Lumped H1-type norm pieces used by the measured stability constant."""
-        g = self.grid
-        nm = g.node_measures()
-        u_l2 = np.sqrt(np.sum(nm[:, None] * fields.u ** 2))
-        phi_l2 = np.sqrt(np.sum(nm * fields.phi ** 2))
-        grad_u = np.sqrt(np.sum(g.volumes[:, None, None] * g.cell_gradient(fields.u) ** 2))
-        grad_phi = np.sqrt(np.sum(g.volumes[:, None] * g.cell_gradient(fields.phi) ** 2))
-        return u_l2 + grad_u, phi_l2 + grad_phi
-
-    def measured_stability(self, z=None, b=None, q=None):
-        """Ratio (|u|_1 + |phi|_1) / (|z| + |b| + |q|) for the given data."""
-        g = self.grid
-        f = self.solve_bvp(z=z, b=b, q=q)
-        nu, nphi = self.field_norms(f)
-        data = 0.0
-        if z is not None:
-            data += np.sqrt(np.sum(g.volumes[:, None] * np.asarray(z) ** 2))
-        if b is not None:
-            data += np.sqrt(np.sum(g.volumes[:, None] * np.asarray(b) ** 2))
-        if q is not None:
-            data += np.sqrt(np.sum(g.volumes * np.asarray(q) ** 2))
-        if data == 0.0:
-            return 0.0
-        return (nu + nphi) / data

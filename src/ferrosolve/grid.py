@@ -141,10 +141,3 @@ class Grid:
         """Packed symmetric gradient of the nodal displacement field."""
         g = self.cell_gradient(u)                           # (nc, d, d)
         return pack_sym(0.5 * (g + np.swapaxes(g, 1, 2)))
-
-    def node_measures(self):
-        """Lumped nodal measures (each cell spreads its volume evenly)."""
-        out = np.zeros(self.n_nodes)
-        np.add.at(out, self.cells.ravel(),
-                  np.repeat(self.volumes / (self.dim + 1), self.dim + 1))
-        return out

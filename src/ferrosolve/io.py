@@ -325,6 +325,17 @@ def write_study_csv(path, study):
                     [lambda r: labels[r], lambda r: _floats(values[r], ",,,\n")])
 
 
+def write_mvs_csv(path, levels, rows):
+    """Per-level sides and slack of the weak inequality and sides of the
+    interpolant gap: rows holds lhs, rhs, slack, gap_lhs, gap_rhs of each
+    level.  Unlike the other files, this one has no version line."""
+    rows = np.asarray(rows, dtype=float)
+    labels = _ints(levels, ",")
+    with _open(path, "level,lhs,rhs,slack,gap_lhs,gap_rhs\n") as fh:
+        _write_rows(fh, len(levels), 5,
+                    [lambda r: labels[r], lambda r: _floats(rows[r], ",,,,\n")])
+
+
 # ---------------------------------------------------------------------------
 # legacy-text structured-grid snapshots
 

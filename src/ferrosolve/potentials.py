@@ -31,7 +31,7 @@ def _norm(v):
     return np.sqrt(np.sum(np.asarray(v, dtype=float) ** 2, axis=-1))
 
 
-def _solve_monotone(residual, lo, hi, tol=1e-13):
+def _solve_monotone(residual, lo, hi):
     """Vectorized safeguarded Newton/bisection for increasing residuals.
 
     Finds x in [lo, hi] with residual(x)[0] = 0; ``residual`` returns
@@ -51,7 +51,7 @@ def _solve_monotone(residual, lo, hi, tol=1e-13):
         done = np.abs(val) <= 1e-15 * scale
         hi = np.where(val > 0.0, x, hi)
         lo = np.where(val <= 0.0, x, lo)
-        narrow = hi - lo <= tol * np.abs(x)
+        narrow = hi - lo <= 1e-13 * np.abs(x)
         active &= ~(done | narrow)
         if not active.any():
             return x

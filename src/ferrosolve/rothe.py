@@ -84,8 +84,8 @@ class LoadSchedule:
         self.times = np.asarray(times, dtype=float)
         self.b = np.asarray(b, dtype=float)      # (nt, n_cells, d)
         self.q = np.asarray(q, dtype=float)      # (nt, n_cells)
-        if self.times.ndim != 1 or len(self.times) < 1:
-            raise ValueError("need at least one load sample")
+        if self.times.ndim != 1 or len(self.times) < 2:
+            raise ValueError("need at least two load samples")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("load sample times must be strictly increasing")
 
@@ -159,7 +159,7 @@ class EnergyLedger:
 
 
 class Trajectory:
-    """Rothe node values with affine / constant interpolant accessors."""
+    """Rothe node values with the piecewise-constant interpolant accessor."""
 
     def __init__(self, time_grid, z_nodes, Sigma, sigma_E, certificates, zhat):
         self.time_grid = time_grid
@@ -172,12 +172,6 @@ class Trajectory:
     @property
     def rates(self):
         return np.diff(self.z_nodes, axis=0) / self.time_grid.h
-
-    def z_affine(self, t):
-        h = self.time_grid.h
-        n = int(np.clip(np.ceil(t / h - 1e-12), 1, self.time_grid.n_steps))
-        w = t / h - (n - 1)
-        return (1.0 - w) * self.z_nodes[n - 1] + w * self.z_nodes[n]
 
     def z_const(self, t):
         h = self.time_grid.h
@@ -433,12 +427,13 @@ class SteppedProblem:
         )
 
 
-def interpolant_gap(traj, volumes, p_star=2.0, n_quad=24):
+def interpolant_gap(traj, volumes, p_star=2.0):
     """Both sides of the affine-vs-constant interpolant gap identity.
 
-    Left side: the space-time p*-norm of z_affine - z_const, with the time
-    integral per step done by Gauss quadrature (independent of the closed
-    form).  Right side: h^{p*}/(p*+1) times the p*-norm of the discrete rate.
+    Left side: the space-time p*-norm of the affine minus the constant
+    interpolant, ((nh - t)/h) times the jump on step n, integrated in time
+    by 24-point Gauss quadrature per step (independent of the closed form).
+    Right side: h^{p*}/(p*+1) times the p*-norm of the discrete rate.
     """
     h = traj.time_grid.h
     vols = np.asarray(volumes, dtype=float)
@@ -446,7 +441,7 @@ def interpolant_gap(traj, volumes, p_star=2.0, n_quad=24):
     jumps = np.diff(traj.z_nodes, axis=0)                      # (N, nc, k)
     mag = np.sqrt(np.sum(jumps ** 2, axis=-1))                 # (N, nc)
     space = np.sum(vols * mag ** p_star, axis=-1)              # (N,)
-    xs, ws = np.polynomial.legendre.leggauss(n_quad)
+    xs, ws = np.polynomial.legendre.leggauss(24)
     # integral over one step of ((nh - t)/h)^{p*}
     t = 0.5 * (xs + 1.0)
     time_factor = 0.5 * np.sum(ws * (1.0 - t) ** p_star) * h

@@ -526,3 +526,31 @@ def test_mvs_slack_below_tolerance_exit_two(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("level 4: MVS slack -1.000e+00 < -tol_mvs = -1.000e-05")
     assert (out / "mvs.csv").is_file() and (out / "measure.csv").is_file()
+
+
+#: the exit code of every library error; a new error class needs an entry
+EXIT_OF = {"ParseError": 3, "ValidationError": 3, "NonPositiveDefinite": 3,
+           "MismatchedScenario": 3, "DomainEscape": 3,
+           "OutsideDomain": 2, "UnsupportedFamily": 2, "NoConvergence": 2,
+           "SingularSystem": 2, "LinearSolveFailure": 2, "StepSolveFailure": 2,
+           "AtomOutsideDomain": 2}
+
+
+def _error_classes(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+def test_every_error_class_has_its_exit_code(tmp_path, capsys, monkeypatch):
+    from ferrosolve import cli
+    from ferrosolve.errors import FerrosolveError
+    classes = sorted(set(_error_classes(FerrosolveError)), key=lambda c: c.__name__)
+    assert {c.__name__ for c in classes} == set(EXIT_OF)
+    for cls in classes:
+        def raising(path, cls=cls):
+            raise cls.__new__(cls, "the message")
+
+        monkeypatch.setattr(cli, "parse_scenario", raising)
+        assert main(["check", str(tmp_path / "s.ini")]) == EXIT_OF[cls.__name__], cls
+        assert capsys.readouterr().err == f"{cls.__name__}: the message\n"

@@ -12,8 +12,8 @@ import pytest
 from ferrosolve import (EmpiricalYoungMeasure, EnergyLedger, FieldState, Grid,
                         ReferencePartition, StepCertificate, TimeGrid)
 from ferrosolve.io import (_CHUNK, _write_values, write_certificates_csv,
-                           write_energy_csv, write_measure_csv, write_snapshot,
-                           write_study_csv, write_trajectory_csv)
+                           write_energy_csv, write_measure_csv, write_mvs_csv,
+                           write_snapshot, write_study_csv, write_trajectory_csv)
 from ferrosolve.rothe import Trajectory
 
 pytestmark = pytest.mark.filterwarnings("error")
@@ -178,6 +178,16 @@ def test_study_rows_match_per_value_format(tmp_path):
                                       ("solo_spreads", "pooled_spreads", "F_deviation")]
                          + [_g(diffs[i])]) for i, lv in enumerate(study["levels"])]
     assert path.read_text().splitlines()[2:] == expected
+
+
+def test_mvs_rows_match_per_value_format(tmp_path):
+    levels = [3, 4, 10]
+    rows = np.array(SPECIAL[:len(levels) * 5 - 3] + [2.5, -1e-5, 7e22]).reshape(-1, 5)
+    path = tmp_path / "mvs.csv"
+    write_mvs_csv(path, levels, [tuple(r) for r in rows])
+    expected = ["level,lhs,rhs,slack,gap_lhs,gap_rhs"] + [
+        ",".join([str(lv)] + [_g(v) for v in row]) for lv, row in zip(levels, rows)]
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
 
 
 def test_measure_rows_match_per_value_format(tmp_path):

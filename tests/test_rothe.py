@@ -51,6 +51,16 @@ def test_average_loads_linear_in_loads():
     assert np.allclose(q_avg[:, 0], mids, atol=1e-14)
 
 
+def test_load_schedule_needs_two_samples():
+    """One sample has no segment to interpolate on (it gave nan loads)."""
+    grid = Grid(1, 2)
+    with pytest.raises(ValueError, match="at least two load samples"):
+        LoadSchedule.uniform([0.0], [[1.0]], [0.5], grid)
+    sched = LoadSchedule.uniform([0.0, 1.0], [[1.0], [1.0]], [0.5, 0.5], grid)
+    b, q = sched.at(0.0)
+    assert np.all(b == 1.0) and np.all(q == 0.5)
+
+
 # ---------------------------------------------------------------------------
 # oracle (a): quadratic f + p=2 power law g has a closed-form linear step
 
@@ -166,6 +176,30 @@ def test_interpolant_gap_identity():
     grid, prob, zhat, traj, _ = _reference_run(level=4)
     lhs, rhs = interpolant_gap(traj, grid.volumes, p_star=2.0)
     assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+def _z_affine(traj, t):
+    """The piecewise-affine interpolant of the Rothe nodes at time t."""
+    h = traj.time_grid.h
+    n = int(np.clip(np.ceil(t / h - 1e-12), 1, traj.time_grid.n_steps))
+    w = t / h - (n - 1)
+    return (1.0 - w) * traj.z_nodes[n - 1] + w * traj.z_nodes[n]
+
+
+@pytest.mark.parametrize("p_star", [2.0, 1.5])
+def test_interpolant_gap_lhs_matches_time_quadrature(p_star):
+    """The left side of interpolant_gap against a composite midpoint rule in
+    time over the space integral of |z_affine - z_const|^{p*}, sampled
+    strictly inside the steps, where both interpolants are smooth."""
+    grid, _, _, traj, _ = _reference_run(level=4)
+    per_step = 400
+    dt = traj.time_grid.h / per_step
+    ts = (np.arange(traj.time_grid.n_steps * per_step) + 0.5) * dt
+    space = [np.sum(grid.volumes * np.sqrt(np.sum(
+        (_z_affine(traj, t) - traj.z_const(t)) ** 2, axis=-1)) ** p_star) for t in ts]
+    lhs, _ = interpolant_gap(traj, grid.volumes, p_star=p_star)
+    assert lhs > 0.0
+    assert lhs == pytest.approx(np.sum(space) * dt, rel=1e-5)
 
 
 def test_zero_scenario_stays_zero():
@@ -337,8 +371,8 @@ def test_affine_and_constant_interpolants():
     _, _, _, traj, _ = _reference_run(level=3)
     h = traj.time_grid.h
     # affine interpolant hits the nodes and is linear inside each step
-    assert np.allclose(traj.z_affine(2 * h), traj.z_nodes[2])
-    mid = traj.z_affine(1.5 * h)
+    assert np.allclose(_z_affine(traj, 2 * h), traj.z_nodes[2])
+    mid = _z_affine(traj, 1.5 * h)
     assert np.allclose(mid, 0.5 * (traj.z_nodes[1] + traj.z_nodes[2]))
     # piecewise-constant interpolant jumps to the right endpoint
     assert np.allclose(traj.z_const(1.5 * h), traj.z_nodes[2])
