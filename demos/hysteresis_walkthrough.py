@@ -29,7 +29,7 @@ level = 6                       # 2**6 = 64 implicit steps on [0, T]
 problem = SteppedProblem(system, f_spec, g_spec, level, T=1.0)
 
 # Ramp the body force and the free-charge density linearly in time.
-schedule = LoadSchedule.uniform([0.0, 1.0], [[0.0], [4.0]], [0.0, 2.0], grid)
+schedule = LoadSchedule([0.0, 1.0], [[0.0], [4.0]], [0.0, 2.0])
 zhat = average_loads(system, schedule, problem.time_grid)
 
 z0 = np.zeros((grid.n_cells, grid.internal_dim))

@@ -19,7 +19,7 @@ system = AssembledSystem(grid, tensors)
 
 f_spec = Quadratic(np.eye(2))
 g_spec = PowerLaw(1.0, 2.0)
-schedule = LoadSchedule.uniform([0.0, 1.0], [[0.0], [0.8]], [0.0, 0.4], grid)
+schedule = LoadSchedule([0.0, 1.0], [[0.0], [0.8]], [0.0, 0.4])
 z0 = np.zeros((grid.n_cells, grid.internal_dim))
 
 results = []

@@ -1,7 +1,7 @@
 """Command line driver: ``ferrosolve run|converge|check <scenario> ...``.
 
 Exit codes: 0 success, 2 solver failure (including an energy-ledger slack
-below -tol_energy or an MVS slack below -tol_mvs), 3 validation,
+below -tol_energy or an MVS slack below -tol_mvs), 3 validation, file,
 configuration or command-line usage failure.  The environment variable
 FERROSOLVE_THREADS caps the worker threads of the underlying linear algebra
 libraries.
@@ -26,7 +26,7 @@ EXIT_SOLVER = 2
 EXIT_VALIDATION = 3
 
 _VALIDATION_ERRORS = (ParseError, ValidationError, NonPositiveDefinite,
-                      MismatchedScenario, DomainEscape, FileNotFoundError)
+                      MismatchedScenario, DomainEscape, OSError, UnicodeDecodeError)
 
 
 def _coercivity_gate(scn, override):

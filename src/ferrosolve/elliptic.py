@@ -134,10 +134,12 @@ class AssembledSystem:
         return self.source_map @ np.asarray(z, dtype=float).ravel()
 
     def rhs_from_loads(self, b, q):
-        """Load vector of body force b (n_cells, d) and charge density q (n_cells,)."""
-        cell_vals = np.concatenate([np.asarray(b, dtype=float),
-                                    np.asarray(q, dtype=float)[:, None]], axis=-1)
-        return self.load_map @ cell_vals.ravel()
+        """Load vector of body force b and charge density q, given per cell,
+        (n_cells, d) and (n_cells,), or uniform, (d,) and ()."""
+        nc = self.grid.n_cells
+        b = np.broadcast_to(np.asarray(b, dtype=float), (nc, self.grid.dim))
+        q = np.broadcast_to(np.asarray(q, dtype=float), (nc,))
+        return self.load_map @ np.column_stack([b, q]).ravel()
 
     def _solve(self, rhs):
         """K U = rhs by the LU factors, checked against linear_tol.
@@ -172,11 +174,7 @@ class AssembledSystem:
         z = np.asarray(z, dtype=float)
         rhs = self.rhs_from_internal(z)
         if b is not None or q is not None:
-            if b is None:
-                b = np.zeros((g.n_cells, d))
-            if q is None:
-                q = np.zeros(g.n_cells)
-            rhs = rhs + self.rhs_from_loads(b, q)
+            rhs = rhs + self.rhs_from_loads(0.0 if b is None else b, 0.0 if q is None else q)
         U_free = self._solve(rhs)
 
         full = np.zeros(g.n_nodes * self.n_comp)

@@ -78,52 +78,43 @@ def _pw_linear_average(ts, vs, a, b):
 
 
 class LoadSchedule:
-    """Time-sampled body force and charge tables, piecewise linear in time."""
+    """Loads uniform in space: one row (b_1..b_d, q) per sample time, linear in between."""
 
     def __init__(self, times, b, q):
         self.times = np.asarray(times, dtype=float)
-        self.b = np.asarray(b, dtype=float)      # (nt, n_cells, d)
-        self.q = np.asarray(q, dtype=float)      # (nt, n_cells)
+        b, q = np.asarray(b, dtype=float), np.asarray(q, dtype=float)
         if self.times.ndim != 1 or len(self.times) < 2:
             raise ValueError("need at least two load samples")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("load sample times must be strictly increasing")
-
-    @classmethod
-    def uniform(cls, times, b_rows, q_rows, grid):
-        """Spatially uniform loads from per-time rows."""
-        nt = len(times)
-        b = np.broadcast_to(
-            np.asarray(b_rows, dtype=float)[:, None, :], (nt, grid.n_cells, grid.dim)
-        ).copy()
-        q = np.broadcast_to(
-            np.asarray(q_rows, dtype=float)[:, None], (nt, grid.n_cells)
-        ).copy()
-        return cls(times, b, q)
+        if b.ndim != 2 or len(b) != len(self.times) or q.shape != self.times.shape:
+            raise ValueError(f"need one load row per sample time: b of shape (nt, d) "
+                             f"and q of shape (nt,) with nt = {len(self.times)}, "
+                             f"got {b.shape} and {q.shape}")
+        self.rows = np.column_stack([b, q])      # (nt, d + 1)
 
     def at(self, t):
-        return _pw_linear_interp(self.times, self.b, t), _pw_linear_interp(self.times, self.q, t)
+        """The load row at time t, as (b of shape (d,), q of shape ())."""
+        row = _pw_linear_interp(self.times, self.rows, t)
+        return row[:-1], row[-1]
 
     def step_averages(self, time_grid):
-        """Per-step exact averages of (b, q); exact for piecewise-linear loads."""
+        """Per-step exact averages of the rows, (n_steps, d + 1)."""
         h = time_grid.h
-        bs, qs = [], []
-        for n in range(1, time_grid.n_steps + 1):
-            a, b_end = (n - 1) * h, n * h
-            bs.append(_pw_linear_average(self.times, self.b, a, b_end))
-            qs.append(_pw_linear_average(self.times, self.q, a, b_end))
-        return np.stack(bs), np.stack(qs)
+        return np.stack([_pw_linear_average(self.times, self.rows, (n - 1) * h, n * h)
+                         for n in range(1, time_grid.n_steps + 1)])
 
 
 def average_loads(system, schedule, time_grid):
     """Step-averaged load traces z_hat^n (n_steps, n_cells, k).
 
-    The load trace is linear in (b, q), so averaging the loads first and
-    solving once per step is exact.
+    The load trace is linear in the load row, so z_hat^n is the step-averaged
+    row times the traces of the d + 1 unit rows: d + 1 solves, whatever the
+    number of steps.
     """
-    b_avg, q_avg = schedule.step_averages(time_grid)
-    return np.stack([system.load_trace(b_avg[n], q_avg[n])
-                     for n in range(time_grid.n_steps)])
+    traces = np.stack([system.load_trace(unit[:-1], unit[-1])
+                       for unit in np.eye(schedule.rows.shape[1])])
+    return np.tensordot(schedule.step_averages(time_grid), traces, axes=1)
 
 
 @dataclass

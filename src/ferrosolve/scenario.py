@@ -144,7 +144,8 @@ class Scenario:
         return AssembledSystem(grid, tensors, linear_tol=self.tolerances.linear_tol)
 
     def build_schedule(self, grid):
-        return LoadSchedule.uniform(self.load_times, self.load_b, self.load_q, grid)
+        """Loads are uniform in space: ``grid`` is unused (the benchmark passes it)."""
+        return LoadSchedule(self.load_times, self.load_b, self.load_q)
 
     def build_problem(self, level=None, system=None):
         system = system or self.build_system()

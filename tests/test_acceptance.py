@@ -42,7 +42,7 @@ def _reference(level, f_spec=None, g_spec=None, hardening=0.2, amp=0.8,
     f_spec = f_spec or Quadratic(np.eye(2))
     g_spec = g_spec or PowerLaw(1.0, 2.0)
     prob = SteppedProblem(sys_, f_spec, g_spec, level, T=1.0)
-    sched = LoadSchedule.uniform([0.0, 1.0], [[0.0], [amp]], [0.0, amp / 2], grid)
+    sched = LoadSchedule([0.0, 1.0], [[0.0], [amp]], [0.0, amp / 2])
     zhat = average_loads(sys_, sched, prob.time_grid)
     z0 = np.zeros((grid.n_cells, 2))
     traj, ledger = prob.run(z0, zhat, step_tol=step_tol, fp_tol=fp_tol)

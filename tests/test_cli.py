@@ -153,6 +153,35 @@ def test_missing_file_exit_three(tmp_path):
     assert main(["run", str(tmp_path / "nope.cfg")]) == 3
 
 
+# (id, arguments under {tmp}, the error named, whether the scenario is at fault)
+_UNREADABLE = [
+    ("run-directory", ["run", "{tmp}/dir.cfg", "--out", "{tmp}/out"],
+     "IsADirectoryError", True),
+    ("check-directory", ["check", "{tmp}/dir.cfg"], "IsADirectoryError", True),
+    ("run-not-utf8", ["run", "{tmp}/latin1.cfg", "--out", "{tmp}/out"],
+     "UnicodeDecodeError", True),
+    ("out-is-a-file", ["run", "{tmp}/ref.cfg", "--out", "{tmp}/file"],
+     "FileExistsError", False),
+    ("out-under-a-file", ["run", "{tmp}/ref.cfg", "--out", "{tmp}/file/out"],
+     "NotADirectoryError", False),
+]
+
+
+@pytest.mark.parametrize("name,args,error,scenario_case", _UNREADABLE,
+                         ids=[c[0] for c in _UNREADABLE])
+def test_unreadable_path_exit_three(tmp_path, capsys, name, args, error, scenario_case):
+    (tmp_path / "dir.cfg").mkdir()
+    (tmp_path / "latin1.cfg").write_bytes(REFERENCE.encode() + b"# caf\xe9\n")
+    _write(tmp_path, "ref.cfg", REFERENCE)
+    (tmp_path / "file").write_text("")
+    assert main([a.format(tmp=tmp_path) for a in args]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"{error}: ")
+    if scenario_case:
+        assert not (tmp_path / "out").exists()
+
+
 def test_check_prints_certificates(tmp_path, capsys):
     scn = _write(tmp_path, "ref.cfg", REFERENCE)
     assert main(["check", scn]) == 0

@@ -257,3 +257,8 @@ def test_load_vector_matches_vertex_loop():
                 if dof >= 0:
                     ref[dof] += share * val
     assert np.allclose(sys_.rhs_from_loads(b, q), ref, atol=1e-15)
+    # a uniform load, b of shape (d,) and q of shape (), is its per-cell broadcast
+    b0, q0 = np.array([0.7, -1.3]), np.array(0.4)
+    per_cell = sys_.rhs_from_loads(np.tile(b0, (grid.n_cells, 1)),
+                                   np.full(grid.n_cells, q0))
+    assert np.array_equal(sys_.rhs_from_loads(b0, q0), per_cell)

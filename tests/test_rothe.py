@@ -39,26 +39,53 @@ def test_average_loads_linear_in_loads():
     t = make_tensors(1, 1.0, 1.0, coupling=0.3)
     sys_ = AssembledSystem(grid, t)
     tg = TimeGrid(T=1.0, level=2)
-    s1 = LoadSchedule.uniform([0.0, 1.0], [[0.0], [2.0]], [0.0, 1.0], grid)
-    s2 = LoadSchedule.uniform([0.0, 1.0], [[0.0], [4.0]], [0.0, 2.0], grid)
+    s1 = LoadSchedule([0.0, 1.0], [[0.0], [2.0]], [0.0, 1.0])
+    s2 = LoadSchedule([0.0, 1.0], [[0.0], [4.0]], [0.0, 2.0])
     z1 = average_loads(sys_, s1, tg)
     z2 = average_loads(sys_, s2, tg)
     assert np.allclose(z2, 2.0 * z1, atol=1e-12)
     # exact step averages of a linear ramp: values at step midpoints
-    b_avg, q_avg = s1.step_averages(tg)
+    rows = s1.step_averages(tg)
     mids = (np.arange(4) + 0.5) * tg.h
-    assert np.allclose(b_avg[:, 0, 0], 2.0 * mids, atol=1e-14)
-    assert np.allclose(q_avg[:, 0], mids, atol=1e-14)
+    assert np.allclose(rows[:, 0], 2.0 * mids, atol=1e-14)
+    assert np.allclose(rows[:, 1], mids, atol=1e-14)
 
 
 def test_load_schedule_needs_two_samples():
     """One sample has no segment to interpolate on (it gave nan loads)."""
     grid = Grid(1, 2)
     with pytest.raises(ValueError, match="at least two load samples"):
-        LoadSchedule.uniform([0.0], [[1.0]], [0.5], grid)
-    sched = LoadSchedule.uniform([0.0, 1.0], [[1.0], [1.0]], [0.5, 0.5], grid)
+        LoadSchedule([0.0], [[1.0]], [0.5])
+    sched = LoadSchedule([0.0, 1.0], [[1.0], [1.0]], [0.5, 0.5])
     b, q = sched.at(0.0)
     assert np.all(b == 1.0) and np.all(q == 0.5)
+    # the loads are rows: per-cell tables or a q of another length are refused
+    with pytest.raises(ValueError, match="one load row per sample time"):
+        LoadSchedule([0.0, 1.0], np.ones((2, grid.n_cells, 1)), [0.5, 0.5])
+    with pytest.raises(ValueError, match="one load row per sample time"):
+        LoadSchedule([0.0, 1.0], [[1.0], [1.0]], [0.5, 0.5, 0.5])
+
+
+def test_average_loads_matches_per_step_solves():
+    """The unit-trace map against one solve per step of that step's averaged
+    loads given per cell, on a table whose sample times lie inside steps."""
+    grid = Grid(2, 3)
+    coupling = np.array([[0.3, 0.0, 0.0], [0.0, 0.3, 0.0]])
+    sys_ = AssembledSystem(grid, make_tensors(2, ("isotropic", 1.0, 1.0), 1.0,
+                                              coupling=coupling, hardening=0.1))
+    tg = TimeGrid(T=1.0, level=3)
+    times = np.array([0.0, 0.3, 1.0])
+    b_rows = np.array([[0.0, 0.0], [1.5, -0.8], [-0.5, 0.6]])
+    q_rows = np.array([0.0, 0.9, -0.3])
+    b_cells = np.repeat(b_rows[:, None, :], grid.n_cells, axis=1)
+    q_cells = np.repeat(q_rows[:, None], grid.n_cells, axis=1)
+    oracle = np.stack([
+        sys_.load_trace(_pw_linear_average(times, b_cells, (n - 1) * tg.h, n * tg.h),
+                        _pw_linear_average(times, q_cells, (n - 1) * tg.h, n * tg.h))
+        for n in range(1, tg.n_steps + 1)])
+    zhat = average_loads(sys_, LoadSchedule(times, b_rows, q_rows), tg)
+    assert zhat.shape == oracle.shape
+    assert np.abs(zhat - oracle).max() <= 1e-14 * np.abs(oracle).max()
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +153,7 @@ def _reference_run(level=4, g_spec=None, f_spec=None, hardening=0.2,
     f_spec = f_spec or Quadratic(np.eye(grid.internal_dim))
     g_spec = g_spec or PowerLaw(1.0, 2.0)
     prob = SteppedProblem(sys_, f_spec, g_spec, level, T=1.0)
-    sched = LoadSchedule.uniform([0.0, 1.0], [[0.0], [0.8]], [0.0, 0.4], grid)
+    sched = LoadSchedule([0.0, 1.0], [[0.0], [0.8]], [0.0, 0.4])
     zhat = average_loads(sys_, sched, prob.time_grid)
     z0 = np.zeros((grid.n_cells, grid.internal_dim))
     traj, ledger = prob.run(z0, zhat, step_tol=step_tol, fp_tol=fp_tol)
@@ -309,7 +336,7 @@ def test_unattainable_tolerance_raises():
     t = make_tensors(1, 1.0, 1.0, coupling=0.5, hardening=0.1)
     sys_ = AssembledSystem(grid, t)
     prob = SteppedProblem(sys_, Quadratic(np.eye(2)), PowerLaw(1.0, 2.0), 2, T=1.0)
-    sched = LoadSchedule.uniform([0.0, 1.0], [[1.0], [1.0]], [0.5, 0.5], grid)
+    sched = LoadSchedule([0.0, 1.0], [[1.0], [1.0]], [0.5, 0.5])
     zhat = average_loads(sys_, sched, prob.time_grid)
     with pytest.raises(StepSolveFailure):
         prob.run(np.zeros((grid.n_cells, 2)), zhat, step_tol=0.0,
@@ -321,7 +348,7 @@ def _counted_unattainable_problem():
     t = make_tensors(1, 1.0, 1.0, coupling=0.5, hardening=0.1)
     sys_ = AssembledSystem(grid, t)
     prob = SteppedProblem(sys_, Quadratic(np.eye(2)), PowerLaw(1.0, 2.0), 2, T=1.0)
-    sched = LoadSchedule.uniform([0.0, 1.0], [[1e4], [1e4]], [5e3, 5e3], grid)
+    sched = LoadSchedule([0.0, 1.0], [[1e4], [1e4]], [5e3, 5e3])
     zhat = average_loads(sys_, sched, prob.time_grid)
     calls = []
     apply_M = prob.apply_M
@@ -434,15 +461,15 @@ def _oracle_case(dim, g_spec):
     if dim == 1:
         t = make_tensors(1, 2.0, 1.0, coupling=0.5, hardening=0.3)
         f_spec = Quadratic(np.diag([1.0, 2.0]))
-        sched = LoadSchedule.uniform([0.0, 0.5, 1.0], [[0.0], [1.2], [-0.4]],
-                                     [0.0, 0.6, 0.1], grid)
+        sched = LoadSchedule([0.0, 0.5, 1.0], [[0.0], [1.2], [-0.4]],
+                             [0.0, 0.6, 0.1])
     else:
         t = make_tensors(2, ("isotropic", 1.0, 1.0), 1.0,
                          coupling=0.3 * np.eye(2, s), hardening=0.2)
         f_spec = LogSaturationRadial(1.0)
-        sched = LoadSchedule.uniform([0.0, 0.5, 1.0],
-                                     [[0.0, 0.0], [1.5, -0.8], [-0.5, 0.6]],
-                                     [0.0, 0.9, -0.3], grid)
+        sched = LoadSchedule([0.0, 0.5, 1.0],
+                             [[0.0, 0.0], [1.5, -0.8], [-0.5, 0.6]],
+                             [0.0, 0.9, -0.3])
     sys_ = AssembledSystem(grid, t)
     prob = SteppedProblem(sys_, f_spec, g_spec, 3, T=1.0)
     zhat = average_loads(sys_, sched, prob.time_grid)

@@ -90,7 +90,7 @@ def test_reference_scenario_builds_objects():
     prob = scn.build_problem(level=3, system=sys_)
     assert prob.time_grid.n_steps == 8
     sched = scn.build_schedule(grid)
-    assert sched.b.shape == (2, 16, 1)
+    assert sched.rows.shape == (2, 2)
 
 
 def test_round_trip_identity():

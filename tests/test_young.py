@@ -30,7 +30,7 @@ def smooth_family():
     sys_ = AssembledSystem(grid, t)
     f = Quadratic(np.eye(grid.internal_dim))
     g = PowerLaw(1.0, 2.0)
-    sched = LoadSchedule.uniform([0.0, 1.0], [[0.0], [0.6]], [0.0, 0.3], grid)
+    sched = LoadSchedule([0.0, 1.0], [[0.0], [0.6]], [0.0, 0.3])
     runs = {lv: _run(lv, grid, sys_, f, g, sched) for lv in (3, 4, 5)}
     return grid, sys_, f, g, runs
 
@@ -175,7 +175,7 @@ def test_mvs_residual_with_one_atom_per_cell_measure(g):
     t = make_tensors(1, 1.0, 1.0, coupling=0.3, hardening=0.4)
     sys_ = AssembledSystem(grid, t)
     f = LogSaturationRadial(1.0)
-    sched = LoadSchedule.uniform([0.0, 1.0], [[0.0], [0.8]], [0.0, 0.6], grid)
+    sched = LoadSchedule([0.0, 1.0], [[0.0], [0.8]], [0.0, 0.6])
     prob, traj = _run(3, grid, sys_, f, g, sched, step_tol=1e-9)
     plain = mvs_residual(traj, prob, f, g)
     fine = uniform_partition(prob.time_grid, grid, n_time_bins=prob.time_grid.n_steps)
@@ -218,7 +218,7 @@ def test_mvs_residual_scaling_with_horizon():
 
     # long run over [0, 4] with h = 1/32 (level 7)
     prob = SteppedProblem(sys_, f, g, 7, T=4.0, reg_weight=reg)
-    sched = LoadSchedule.uniform([0.0, 4.0], [[0.0], [2.0]], [0.0, 1.0], grid)
+    sched = LoadSchedule([0.0, 4.0], [[0.0], [2.0]], [0.0, 1.0])
     zhat = average_loads(sys_, sched, prob.time_grid)
     traj, _ = prob.run(np.zeros((grid.n_cells, 2)), zhat,
                        step_tol=1e-12, fp_tol=1e-13)
@@ -483,14 +483,14 @@ def test_mvs_residual_matches_per_step_oracle(dim, g):
     grid = Grid(dim, 8 if dim == 1 else 2)
     if dim == 1:
         t = make_tensors(1, 2.0, 1.0, coupling=0.5, hardening=0.3)
-        sched = LoadSchedule.uniform([0.0, 0.5, 1.0], [[0.0], [1.2], [-0.4]],
-                                     [0.0, 0.6, 0.1], grid)
+        sched = LoadSchedule([0.0, 0.5, 1.0], [[0.0], [1.2], [-0.4]],
+                             [0.0, 0.6, 0.1])
     else:
         t = make_tensors(2, ("isotropic", 1.0, 1.0), 1.0,
                          coupling=0.3 * np.eye(2, grid.strain_dim), hardening=0.2)
-        sched = LoadSchedule.uniform([0.0, 0.5, 1.0],
-                                     [[0.0, 0.0], [1.5, -0.8], [-0.5, 0.6]],
-                                     [0.0, 0.9, -0.3], grid)
+        sched = LoadSchedule([0.0, 0.5, 1.0],
+                             [[0.0, 0.0], [1.5, -0.8], [-0.5, 0.6]],
+                             [0.0, 0.9, -0.3])
     sys_ = AssembledSystem(grid, t)
     f = LogSaturationRadial(1.0)
     runs = [_run(lv, grid, sys_, f, g, sched, step_tol=1e-9) for lv in (3, 5)]
