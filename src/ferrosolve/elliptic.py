@@ -165,7 +165,8 @@ class AssembledSystem:
     def solve_bvp(self, z=None, b=None, q=None):
         """Solve the coupled problem; returns the full :class:`FieldState`.
 
-        Any of z, b, q may be omitted (treated as zero).
+        Any of z, b, q may be omitted (treated as zero).  The per-cell strain
+        and field are read off the strain map G, as in :meth:`apply_M`.
         """
         g = self.grid
         d, s = g.dim, g.strain_dim
@@ -176,18 +177,15 @@ class AssembledSystem:
         if b is not None or q is not None:
             rhs = rhs + self.rhs_from_loads(0.0 if b is None else b, 0.0 if q is None else q)
         U_free = self._solve(rhs)
-
+        grads = (self.G @ U_free).reshape(g.n_cells, g.internal_dim)
+        eps, E = grads[:, :s], -grads[:, s:]
+        sigma, D = constitutive_stress_field(self.tensors, eps, E, z[:, :s], z[:, s:])
+        # the nodal u and phi, which the snapshots write
         full = np.zeros(g.n_nodes * self.n_comp)
         mask = self.dof_of >= 0
         full[mask] = U_free[self.dof_of[mask]]
         nodal = full.reshape(g.n_nodes, self.n_comp)
-        u = nodal[:, :d]
-        phi = nodal[:, d]
-
-        eps = g.cell_strain(u)
-        E = -g.cell_gradient(phi)
-        sigma, D = constitutive_stress_field(self.tensors, eps, E, z[:, :s], z[:, s:])
-        return FieldState(u=u, phi=phi, eps=eps, E=E, sigma=sigma, D=D)
+        return FieldState(u=nodal[:, :d], phi=nodal[:, d], eps=eps, E=E, sigma=sigma, D=D)
 
     # ------------------------------------------------------------------
 
@@ -218,7 +216,8 @@ class AssembledSystem:
     def assemble_M_matrix(self):
         """Dense M, column by column from full solves and :meth:`project_Q`.
 
-        A reference for tests only: it does not go through :meth:`apply_M`.
+        A reference for tests only: it does not go through :meth:`apply_M`,
+        but it reads the strain and field off the same G.
         """
         n = self.grid.n_cells * self.grid.internal_dim
         cols = np.empty((n, n))

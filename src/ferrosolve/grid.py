@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .packing import pack_sym, sym_dim
+from .packing import sym_dim
 
 _TRIANGLES = [(0b00, 0b01, 0b11), (0b00, 0b11, 0b10)]
 # Kuhn subdivision: one tet per permutation of axis insertions on the path
@@ -38,7 +38,7 @@ class Grid:
     cells_per_axis : sequence of int
         Number of boxes along each axis.
     lengths : sequence of float
-        Box edge lengths along each axis.
+        Box edge lengths, one per axis or one for all; finite and positive.
     """
 
     def __init__(self, dim, cells_per_axis, lengths=None):
@@ -54,6 +54,9 @@ class Grid:
         lengths = tuple(float(x) for x in np.atleast_1d(lengths))
         if len(lengths) == 1:
             lengths = lengths * dim
+        if len(lengths) != dim or not all(0.0 < x < math.inf for x in lengths):
+            raise ValueError(f"bad lengths {lengths} for dim {dim}: "
+                             "need 1 or dim finite positive edge lengths")
         self.dim = dim
         self.cells_per_axis = cells_per_axis
         self.lengths = lengths
@@ -125,19 +128,3 @@ class Grid:
     @property
     def internal_dim(self):
         return self.strain_dim + self.dim
-
-    def cell_gradient(self, nodal):
-        """Per-cell constant gradient of a nodal field.
-
-        nodal has shape (n_nodes,) or (n_nodes, m); the result has shape
-        (n_cells, d) or (n_cells, m, d).
-        """
-        vals = np.asarray(nodal, dtype=float)[self.cells]   # (nc, d+1[, m])
-        if vals.ndim == 2:
-            return np.einsum("ca,cad->cd", vals, self.grads)
-        return np.einsum("cam,cad->cmd", vals, self.grads)
-
-    def cell_strain(self, u):
-        """Packed symmetric gradient of the nodal displacement field."""
-        g = self.cell_gradient(u)                           # (nc, d, d)
-        return pack_sym(0.5 * (g + np.swapaxes(g, 1, 2)))

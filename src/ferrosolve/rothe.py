@@ -59,22 +59,12 @@ class TimeGrid:
 
 
 def _pw_linear_interp(ts, vs, t):
-    """Evaluate the piecewise-linear interpolant of samples (ts, vs) at t."""
-    t = float(np.clip(t, ts[0], ts[-1]))
-    i = int(np.clip(np.searchsorted(ts, t) - 1, 0, len(ts) - 2))
-    w = (t - ts[i]) / (ts[i + 1] - ts[i])
+    """The piecewise-linear interpolant of the sample rows (ts, vs) at the
+    time or array of times t, clamped to [ts[0], ts[-1]]."""
+    t = np.clip(np.asarray(t, dtype=float), ts[0], ts[-1])
+    i = np.clip(np.searchsorted(ts, t) - 1, 0, len(ts) - 2)
+    w = ((t - ts[i]) / (ts[i + 1] - ts[i]))[..., None]
     return (1.0 - w) * vs[i] + w * vs[i + 1]
-
-
-def _pw_linear_average(ts, vs, a, b):
-    """Exact average of the piecewise-linear interpolant over [a, b]."""
-    inner = ts[(ts > a) & (ts < b)]
-    pts = np.concatenate([[a], inner, [b]])
-    vals = np.stack([_pw_linear_interp(ts, vs, t) for t in pts])
-    dt = np.diff(pts)
-    shape = (-1,) + (1,) * (vals.ndim - 1)
-    integral = np.sum(0.5 * (vals[:-1] + vals[1:]) * dt.reshape(shape), axis=0)
-    return integral / (b - a)
 
 
 class LoadSchedule:
@@ -99,10 +89,23 @@ class LoadSchedule:
         return row[:-1], row[-1]
 
     def step_averages(self, time_grid):
-        """Per-step exact averages of the rows, (n_steps, d + 1)."""
-        h = time_grid.h
-        return np.stack([_pw_linear_average(self.times, self.rows, (n - 1) * h, n * h)
-                         for n in range(1, time_grid.n_steps + 1)])
+        """Per-step exact averages of the rows, (n_steps, d + 1).
+
+        The step ends and the sample times inside them cut [0, T] into
+        pieces on which the interpolant is linear; each step adds up the
+        trapezoids of its pieces in time order.
+        """
+        n = time_grid.n_steps
+        ends = np.arange(n + 1) * time_grid.h
+        ts = self.times
+        pts = np.union1d(ends, ts[(ts > 0.0) & (ts < ends[-1])])
+        vals = _pw_linear_interp(ts, self.rows, pts)
+        pieces = 0.5 * (vals[:-1] + vals[1:]) * np.diff(pts)[:, None]
+        step = np.searchsorted(ends, pts[:-1], side="right") - 1
+        # add.at adds each step's pieces in order onto +0.0, as np.sum would
+        acc = np.zeros((n, self.rows.shape[1]))
+        np.add.at(acc, step, pieces)
+        return acc / np.diff(ends)[:, None]
 
 
 def average_loads(system, schedule, time_grid):

@@ -4,7 +4,20 @@ projection identities."""
 import numpy as np
 import pytest
 
-from ferrosolve import AssembledSystem, Grid, make_tensors
+from ferrosolve import AssembledSystem, Grid, make_tensors, pack_sym
+
+
+def _nodal_gradient(grid, nodal):
+    """Per-cell gradient of a nodal field from the shape-function gradients:
+    (n_cells, d) for nodal of shape (n_nodes,), (n_cells, m, d) for (n_nodes, m)."""
+    return np.einsum("ca...,cad->c...d", np.asarray(nodal, dtype=float)[grid.cells],
+                     grid.grads)
+
+
+def _strain(grid, u):
+    """Packed symmetric gradient of the nodal displacement u, cell by cell."""
+    g = _nodal_gradient(grid, u)
+    return pack_sym(0.5 * (g + np.swapaxes(g, 1, 2)))
 
 
 def _node_measures(grid):
@@ -212,7 +225,7 @@ def test_load_trace_zero_loads():
 
 def _h1(grid, nodal):
     """Lumped L2 norm plus the L2 norm of the cell gradient."""
-    grad = grid.cell_gradient(nodal).reshape(grid.n_cells, -1)
+    grad = _nodal_gradient(grid, nodal).reshape(grid.n_cells, -1)
     return _lumped_l2(grid, nodal) + np.sqrt(np.sum(grid.volumes[:, None] * grad ** 2))
 
 
@@ -232,11 +245,43 @@ def test_measured_stability_bounded():
     assert max(ratios) < 10.0 / sys_.block_A.c0
 
 
+@pytest.mark.parametrize("dim,n", [(1, 9), (2, 5), (3, 2)])
+def test_solve_fields_match_nodal_gradients(dim, n):
+    """The strain and field that solve_bvp reads off G are those of its own
+    nodal u and phi, with an internal state and with loads."""
+    grid, sys_ = _coupled_system(dim, n)
+    rng = np.random.default_rng(40 + dim)
+    z = rng.standard_normal((grid.n_cells, grid.internal_dim))
+    b = rng.standard_normal((grid.n_cells, dim))
+    q = rng.standard_normal(grid.n_cells)
+    for f in (sys_.solve_bvp(z=z), sys_.solve_bvp(b=b, q=q), sys_.solve_bvp(z=z, b=b, q=q)):
+        eps, E = _strain(grid, f.u), -_nodal_gradient(grid, f.phi)
+        assert np.abs(f.eps - eps).max() <= 1e-13 * np.abs(eps).max()
+        assert np.abs(f.E - E).max() <= 1e-13 * np.abs(E).max()
+
+
+def _dense_M(grid, sys_):
+    """M = D (I - Q) column by column: Q e is the strain and the electric
+    displacement of the nodal solution of the unit state e."""
+    t, s = sys_.tensors, grid.strain_dim
+    n = grid.n_cells * grid.internal_dim
+    cols = np.empty((n, n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = 1.0
+        e = e.reshape(grid.n_cells, grid.internal_dim)
+        f = sys_.solve_bvp(z=e)
+        eps, E = _strain(grid, f.u), -_nodal_gradient(grid, f.phi)
+        D = (eps - e[:, :s]) @ t.e_piezo.T + E @ t.eps.T + e[:, s:]
+        cols[:, j] = ((e - np.concatenate([eps, D], axis=-1)) @ sys_.block_D.matrix.T).ravel()
+    return cols
+
+
 @pytest.mark.parametrize("dim,n", [(1, 9), (2, 4), (3, 2)])
 def test_apply_M_matches_dense_oracle(dim, n):
-    """The sparse operator path against the column-by-column dense M."""
+    """The sparse operator path against a dense M built from nodal gradients."""
     grid, sys_ = _coupled_system(dim, n)
-    M = sys_.assemble_M_matrix()
+    M = _dense_M(grid, sys_)
     rng = np.random.default_rng(30 + dim)
     z = rng.standard_normal((grid.n_cells, grid.internal_dim))
     assert np.allclose(sys_.apply_M(z).ravel(), M @ z.ravel(), atol=1e-11)

@@ -44,9 +44,15 @@ def test_golden_numbers_match_the_reference(outputs):
 
 def test_golden_bytes_match_under_the_recorded_versions(outputs):
     reference, artifacts = outputs
-    if reference["versions"] != golden.versions():
-        pytest.skip(f"reference written under {reference['versions']}, "
-                    f"running under {golden.versions()}")
     changed = [key for key, entry in reference["artifacts"].items()
                if golden.describe(artifacts[key])["sha256"] != entry["sha256"]]
+    if reference["versions"] != golden.versions():
+        # `pytest -rs` then tells how far the bits of each artifact moved
+        moved = ", ".join(
+            f"{key} {golden.sample_difference(entry, artifacts[key]):.3g}"
+            if key in changed else f"{key} same bytes"
+            for key, entry in sorted(reference["artifacts"].items()))
+        pytest.skip(f"reference written under {reference['versions']}, "
+                    f"running under {golden.versions()}; largest sampled "
+                    f"difference per artifact: {moved}")
     assert not changed

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ferrosolve import Grid
-from test_elliptic import _node_measures
+from test_elliptic import _nodal_gradient, _node_measures, _strain
 
 
 @pytest.mark.parametrize("dim,n,lengths", [
@@ -25,7 +25,7 @@ def test_gradient_exact_for_affine_fields(dim):
     a = rng.standard_normal(dim)
     c = rng.standard_normal()
     nodal = g.node_coords @ a + c
-    grads = g.cell_gradient(nodal)
+    grads = _nodal_gradient(g, nodal)
     assert np.allclose(grads, a, atol=1e-13)
 
 
@@ -33,10 +33,18 @@ def test_strain_of_linear_displacement():
     g = Grid(2, 4)
     A = np.array([[0.2, 0.7], [-0.3, 0.5]])
     u = g.node_coords @ A.T
-    eps = g.cell_strain(u)
+    eps = _strain(g, u)
     sym = 0.5 * (A + A.T)
     expected = np.array([sym[0, 0], sym[1, 1], np.sqrt(2.0) * sym[0, 1]])
     assert np.allclose(eps, expected, atol=1e-13)
+
+
+@pytest.mark.parametrize("dim,lengths", [
+    (3, (1.0, 2.0)), (2, (1.0, 0.0)), (2, (1.0, 2.0, 3.0)), (2, (1.0, -1.0))])
+def test_bad_lengths_rejected(dim, lengths):
+    """1 or dim edge lengths, each finite and positive, as for cells_per_axis."""
+    with pytest.raises(ValueError, match="bad lengths"):
+        Grid(dim, 2, lengths)
 
 
 def test_boundary_mask_counts():

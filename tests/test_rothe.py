@@ -8,7 +8,7 @@ from ferrosolve import (AssembledSystem, BallIndicator, Grid,
                         Quadratic, StepSolveFailure, SteppedProblem, TimeGrid,
                         average_loads, interpolant_gap, make_tensors)
 from ferrosolve.potentials import full_prox, full_value
-from ferrosolve.rothe import AA_MEMORY, AndersonHistory, _pw_linear_average
+from ferrosolve.rothe import AA_MEMORY, AndersonHistory
 
 
 def _single_cell_problem(f_spec, g_spec, level=3, hardening=0.2, coupling=0.6):
@@ -25,13 +25,89 @@ def test_time_grid_dyadic():
     assert np.allclose(tg.times, np.linspace(0, 2, 9))
 
 
+def _pw_linear_interp(ts, vs, t):
+    """The piecewise-linear interpolant of samples (ts, vs) at one time t."""
+    t = float(np.clip(t, ts[0], ts[-1]))
+    i = int(np.clip(np.searchsorted(ts, t) - 1, 0, len(ts) - 2))
+    w = (t - ts[i]) / (ts[i + 1] - ts[i])
+    return (1.0 - w) * vs[i] + w * vs[i + 1]
+
+
+def _pw_linear_average(ts, vs, a, b):
+    """Exact average of the piecewise-linear interpolant over [a, b]: the
+    trapezoids between a, the sample times inside and b, added in order."""
+    inner = ts[(ts > a) & (ts < b)]
+    pts = np.concatenate([[a], inner, [b]])
+    vals = np.stack([_pw_linear_interp(ts, vs, t) for t in pts])
+    dt = np.diff(pts)
+    shape = (-1,) + (1,) * (vals.ndim - 1)
+    integral = np.sum(0.5 * (vals[:-1] + vals[1:]) * dt.reshape(shape), axis=0)
+    return integral / (b - a)
+
+
+def _step_averages(schedule, tg):
+    return np.stack([_pw_linear_average(schedule.times, schedule.rows,
+                                        (n - 1) * tg.h, n * tg.h)
+                     for n in range(1, tg.n_steps + 1)])
+
+
 def test_pw_linear_average_exact():
     ts = np.array([0.0, 0.5, 1.0])
     vs = np.array([0.0, 1.0, 0.0])
-    # average of the tent function over [0.25, 0.75]
+    # average of the tent function over [0.25, 0.75], its peak inside
     assert _pw_linear_average(ts, vs, 0.25, 0.75) == pytest.approx(0.75)
     # and over a piece inside one segment
     assert _pw_linear_average(ts, vs, 0.0, 0.25) == pytest.approx(0.25)
+    sched = LoadSchedule(ts, vs[:, None], vs)
+    # over the quarters of [0, 1], and over all of it: the peak inside the step
+    for level, expected in ((2, [0.25, 0.75, 0.75, 0.25]), (0, [0.5])):
+        tg = TimeGrid(T=1.0, level=level)
+        assert np.allclose(sched.step_averages(tg), np.array(expected)[:, None],
+                           atol=1e-15)
+        assert np.allclose(_step_averages(sched, tg), np.array(expected)[:, None],
+                           atol=1e-15)
+    # a tent peaking at 0.3, inside the first half of [0, 1]
+    vs = np.array([0.0, 1.0, 0.0])
+    sched = LoadSchedule(np.array([0.0, 0.3, 1.0]), vs[:, None], vs)
+    tg = TimeGrid(T=1.0, level=1)
+    expected = np.array([9.0 / 14.0, 5.0 / 14.0])[:, None]
+    assert np.allclose(sched.step_averages(tg), expected, atol=1e-15)
+    assert np.allclose(_step_averages(sched, tg), expected, atol=1e-15)
+
+
+def _schedules():
+    """Load tables against time grids: samples on step ends, past T, before
+    t = 0 or only after it, up to 60 per step, signed zeros in the rows."""
+    rng = np.random.default_rng(12)
+    for k in range(60):
+        tg = TimeGrid(T=float(rng.choice([1.0, 0.3, 2.5])), level=int(rng.integers(0, 6)))
+        kind = k % 4
+        if kind == 0:
+            ts = tg.times[rng.random(tg.n_steps + 1) < 0.5]
+        elif kind == 1:
+            ts = rng.uniform(0.0, tg.T, int(rng.integers(1, 60 * tg.n_steps)))
+        elif kind == 2:
+            ts = rng.uniform(-0.5 * tg.T, 2.0 * tg.T, int(rng.integers(2, 30)))
+        else:
+            ts = np.concatenate([tg.times[:3], rng.uniform(0.0, tg.T, 5)])
+        if kind != 2:             # kind 2 may start before or after t = 0
+            ts = np.concatenate([ts, [0.0]])
+        ts = np.unique(np.concatenate([ts, [tg.T]]))
+        rows = rng.standard_normal((len(ts), int(rng.integers(2, 5))))
+        rows[rng.random(rows.shape) < 0.3] = 0.0
+        rows[rng.random(rows.shape) < 0.3] = -0.0
+        if kind == 3:
+            rows[:, 0] = -0.0             # each average is a signed zero
+        yield LoadSchedule(ts, rows[:, :-1], rows[:, -1]), tg
+
+
+def test_step_averages_match_per_step_loop_bit_for_bit():
+    """All steps at once add the same trapezoids in the same order as one
+    average per step, so the bits agree, the sign of zero included."""
+    for sched, tg in _schedules():
+        got, ref = sched.step_averages(tg), _step_averages(sched, tg)
+        assert got.shape == ref.shape == (tg.n_steps, sched.rows.shape[1])
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 def test_average_loads_linear_in_loads():
