@@ -30,17 +30,21 @@ _VALIDATION_ERRORS = (ParseError, ValidationError, NonPositiveDefinite,
 
 
 def _coercivity_gate(scn, override):
-    """Refuse the unregularized regime for non-coercive remanent energies."""
-    if not scn.build_f().coercive and not scn.build_tensors().hardening_definite:
-        if override:
-            print("warning: remanent energy is not coercive and the hardening "
-                  "map vanishes; proceeding under --override-coercivity",
-                  file=sys.stderr)
-            return
-        raise ValidationError([
-            "remanent energy family lacks the quadratic lower bound and the "
-            "hardening map is zero: the unregularized existence regime does "
-            "not apply; pass --override-coercivity to run anyway"])
+    """Refuse a scenario outside both existence regimes: a rate-dependent g
+    with a coercive f, or any g under positive definite hardening."""
+    f_spec, g_spec = scn.build_f(), scn.build_g()
+    if scn.build_tensors().hardening_definite or (
+            f_spec.coercive and not g_spec.rate_independent):
+        return
+    reason = (f"the dissipation potential {g_spec.family} is rate-independent"
+              if g_spec.rate_independent else
+              f"the remanent energy {f_spec.family} lacks the quadratic lower bound")
+    reason += " and the hardening map is not positive definite"
+    if override:
+        print(f"warning: {reason}; proceeding under --override-coercivity", file=sys.stderr)
+        return
+    raise ValidationError(f"{reason}: neither existence regime applies; "
+                          "pass --override-coercivity to run anyway")
 
 
 def _run_level(scn, system, level, outdir):

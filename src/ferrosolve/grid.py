@@ -117,7 +117,6 @@ class Grid:
         grads[:, 1:, :] = np.swapaxes(inv, 1, 2)
         grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
         self.grads = grads
-        self.centroids = verts.mean(axis=1)
 
     # ------------------------------------------------------------------
 

@@ -20,6 +20,7 @@ always lives on the last axis.  Extended-real values are represented with
 import numpy as np
 
 from .errors import NoConvergence, OutsideDomain, UnsupportedFamily
+from .tensors import _check_spd
 
 #: relative margin kept between iterates and a bounded-domain boundary
 DOMAIN_MARGIN = 1e-9
@@ -67,15 +68,18 @@ class PotentialSpec:
 
     Subclasses set ``family`` and ``acts_on`` ("full" for functions of the
     whole internal variable, "P" for functions of the polarization block
-    only) and fill ``growth_constants`` where closed forms exist.  A
-    dissipation family also sets ``p`` and, when its domain is bounded,
-    overrides ``project`` and ``violation``.
+    only) and fill ``growth_constants`` (plain floats) where closed forms
+    exist.  A dissipation family also sets ``p`` and, when its domain is
+    bounded, overrides ``project`` and ``violation``.
     """
 
     family = "abstract"
     acts_on = "full"
     #: quadratic lower bound on the active block (a1 > 0 in the growth data)
     coercive = False
+    #: a dissipation family positively homogeneous of degree one, whose
+    #: flow has existence only under definite hardening
+    rate_independent = False
     #: ledger exponent of a dissipation family: the energy ledger measures
     #: load traces in L^p and rates in L^{p*}
     p = None
@@ -141,8 +145,8 @@ class PowerLaw(PotentialSpec):
         # conjugate is k* |w|^{p*}
         self.conj_coeff = (1.0 / self.p_star) * (c * p) ** (1.0 / (1.0 - p))
         self.growth_constants = {
-            "c1": c, "c2": 0.0, "c3": c, "c4": 0.0,
-            "d1": self.conj_coeff, "d2": 0.0, "p": p,
+            "c1": self.c, "c2": 0.0, "c3": self.c, "c4": 0.0,
+            "d1": float(self.conj_coeff), "d2": 0.0, "p": self.p,
         }
 
     def value(self, v):
@@ -180,6 +184,7 @@ class BallIndicator(PotentialSpec):
     """Indicator of the centered ball of radius kappa (rate-independent g)."""
 
     family = "ball_indicator"
+    rate_independent = True
     p = 2.0
 
     def __init__(self, kappa):
@@ -188,7 +193,7 @@ class BallIndicator(PotentialSpec):
             raise ValueError(f"ball radius kappa must be positive, got {kappa}")
         self.kappa = float(kappa)
         # growth_constants["p_star"] is the growth of g*, not the ledger's p*
-        self.growth_constants = {"kappa": kappa, "d1": kappa, "d2": 0.0, "p_star": 1.0}
+        self.growth_constants = {"kappa": self.kappa, "d1": self.kappa, "d2": 0.0, "p_star": 1.0}
 
     def value(self, v):
         n = _norm(v)
@@ -235,15 +240,11 @@ class Quadratic(PotentialSpec):
             raise ValueError("Quadratic needs an explicit matrix; scale an identity")
         if H.ndim == 1:
             H = np.diag(H)
-        if np.abs(H - H.T).max() > 1e-12 * max(np.abs(H).max(), 1.0):
-            raise ValueError("Quadratic H must be symmetric")
         self.H = H
-        self._w, self._V = np.linalg.eigh(H)
-        if self._w.min() < -1e-12 * max(np.abs(self._w).max(), 1.0):
-            raise ValueError("Quadratic H must be positive semi-definite")
-        lam_min = max(self._w.min(), 0.0)
-        self.coercive = bool(lam_min > 0.0)
-        self.growth_constants = {"b1": 0.5 * lam_min, "b2": 0.0, "p": 2.0}
+        (self._w, self._V), self.coercive = _check_spd(H, "H", semidefinite=True,
+                                                       vectors=True)
+        self.growth_constants = {"b1": 0.5 * max(float(self._w.min()), 0.0),
+                                 "b2": 0.0, "p": 2.0}
 
     def value(self, v):
         v = np.asarray(v, dtype=float)
@@ -267,13 +268,13 @@ class LogSaturationRadial(PotentialSpec):
 
     family = "log_saturation_radial"
     acts_on = "P"
+    coercive = True
 
     def __init__(self, P_s):
         super().__init__()
         if not P_s > 0.0:
             raise ValueError(f"saturation constant P_s must be positive, got {P_s}")
         self.P_s = float(P_s)
-        self.coercive = True
         self.growth_constants = {"a1": 0.5, "a2": 0.0}
 
     def value(self, v):
@@ -332,8 +333,6 @@ class LogSaturationDirectional(PotentialSpec):
             raise ValueError("direction a must be nonzero")
         self.P_s = float(P_s)
         self.a = a / n
-        self.coercive = False
-        self.growth_constants = {}
 
     def _t(self, v):
         return np.asarray(v, dtype=float) @ self.a / self.P_s

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainEscape, StepSolveFailure
+from .errors import DomainEscape, StepSolveFailure, ValidationError
 from .potentials import fenchel_residual, full_contains, full_grad, full_prox, full_value
 
 #: consecutive certificate checks (each at a converged fixed-point gap)
@@ -252,11 +252,16 @@ class SteppedProblem:
         """Upper bound lambda_max(D) + lambda_max(L) + reg on the spectrum of M_m.
 
         I - Q is the D-orthogonal projection, so <M z, z> = |(I - Q) z|_D^2
-        <= |z|_D^2 <= lambda_max(D) |z|^2.
+        <= |z|_D^2 <= lambda_max(D) |z|^2.  ValidationError when the sum
+        overflows: then gamma would be 0.
         """
-        lam_D = np.linalg.eigvalsh(self.system.block_D.matrix).max()
-        lam_L = np.linalg.eigvalsh(self.L).max()
-        return float(lam_D + lam_L + self.reg)
+        lam_D = float(np.linalg.eigvalsh(self.system.block_D.matrix).max())
+        lam_L = float(np.linalg.eigvalsh(self.L).max())
+        bound = lam_D + lam_L + self.reg
+        if not np.isfinite(bound):
+            raise ValidationError(f"the spectral bound lambda_max(D) + lambda_max(L) + reg = "
+                                  f"{lam_D:.6e} + {lam_L:.6e} + {self.reg:.6e} overflows")
+        return bound
 
     # -- certificate ----------------------------------------------------
 

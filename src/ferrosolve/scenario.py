@@ -360,7 +360,7 @@ def parse_scenario(path_or_text, is_text=False):
             potentials[name] = (family, args)
             try:
                 built[name] = cls(**args)
-            except ValueError as exc:
+            except (ValueError, FerrosolveError) as exc:
                 violations.append(f"[{section}] {exc}")
 
     # time ----------------------------------------------------------------

@@ -8,7 +8,7 @@ operator D that turns reversible parts (strain - r, D - P) into (stress,
 electric field).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,27 +32,30 @@ def _as_matrix(value, n, name):
     return value.copy()
 
 
-def _check_symmetric(mat, name):
-    scale = max(np.abs(mat).max(), 1.0)
-    if np.abs(mat - mat.T).max() > SYM_TOL * scale:
-        raise ValueError(f"{name} is not symmetric")
+def _check_spd(mat, name, semidefinite=False, vectors=False):
+    """The one definiteness rule of every symmetric block: (spectrum, definite).
 
-
-def _check_spd(mat, name, eig=np.linalg.eigvalsh):
-    """Eigenvalues ``eig(mat)`` of a symmetric positive definite block.
-
+    The spectrum is ``eigh(mat)`` if ``vectors``, else ``eigvalsh(mat)``, and
+    ``definite`` is lambda_min > SYM_TOL scale with scale = max(|entry|, 1).
+    ValueError unless mat is symmetric within SYM_TOL scale;
     NonPositiveDefinite naming the block unless its entries and eigenvalues
-    are finite and its eigenvalues positive; the entries are tested first, so
-    that no LinAlgError escapes.
+    are finite and lambda_min > 0 (>= -SYM_TOL scale if ``semidefinite``).
+    The entries are tested first, so that no LinAlgError escapes.
     """
     if not np.isfinite(mat).all():
         raise NonPositiveDefinite(name, float("nan"))
-    _check_symmetric(mat, name)
-    w = eig(mat)
+    scale = max(float(np.abs(mat).max()), 1.0)
+    with np.errstate(over="ignore"):     # an overflow is an asymmetry
+        if np.abs(mat - mat.T).max() > SYM_TOL * scale:
+            raise ValueError(f"{name} is not symmetric")
+    spectrum = np.linalg.eigh(mat) if vectors else np.linalg.eigvalsh(mat)
+    w = spectrum[0] if vectors else spectrum
+    if not np.isfinite(w).all():
+        raise NonPositiveDefinite(name, float("nan"))
     lam_min = float(w.min())
-    if not (np.isfinite(w).all() and lam_min > 0.0):
+    if not (lam_min >= -SYM_TOL * scale if semidefinite else lam_min > 0.0):
         raise NonPositiveDefinite(name, lam_min)
-    return w
+    return spectrum, lam_min > SYM_TOL * scale
 
 
 @dataclass(frozen=True)
@@ -72,8 +75,8 @@ class MaterialTensors:
     L_hard : ndarray, shape (k, k)
         Hardening map on internal-variable space, k = s + dim.
     hardening_definite : bool
-        True when L_hard is strictly positive definite (regularized regime),
-        False when it is merely positive semi-definite (possibly zero).
+        Whether L_hard is positive definite by :func:`_check_spd`
+        (regularized regime), not merely semidefinite (possibly zero).
     """
 
     dim: int
@@ -81,15 +84,7 @@ class MaterialTensors:
     eps: np.ndarray
     e_piezo: np.ndarray
     L_hard: np.ndarray
-    hardening_definite: bool = field(default=False)
-
-    @property
-    def strain_dim(self):
-        return sym_dim(self.dim)
-
-    @property
-    def internal_dim(self):
-        return internal_dim(self.dim)
+    hardening_definite: bool
 
 
 def make_tensors(dim, elastic, dielectric, coupling=None, hardening=None):
@@ -109,7 +104,8 @@ def make_tensors(dim, elastic, dielectric, coupling=None, hardening=None):
     Raises
     ------
     NonPositiveDefinite
-        If C or eps has a non-positive eigenvalue, or hardening is indefinite.
+        Unless C and eps are positive definite and hardening is positive
+        semidefinite, by :func:`_check_spd`.
     """
     if dim not in (1, 2, 3):
         raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
@@ -138,15 +134,9 @@ def make_tensors(dim, elastic, dielectric, coupling=None, hardening=None):
 
     _check_spd(C, "C")
     _check_spd(eps, "eps")
-    _check_symmetric(L, "L_hard")
-    lam_min_L = np.linalg.eigvalsh(L).min() if L.any() else 0.0
-    if lam_min_L < -SYM_TOL * max(np.abs(L).max(), 1.0):
-        raise NonPositiveDefinite("L_hard", lam_min_L)
-
-    return MaterialTensors(
-        dim=dim, C=C, eps=eps, e_piezo=e, L_hard=L,
-        hardening_definite=bool(lam_min_L > SYM_TOL),
-    )
+    _, definite = _check_spd(L, "L_hard", semidefinite=True)
+    return MaterialTensors(dim=dim, C=C, eps=eps, e_piezo=e, L_hard=L,
+                           hardening_definite=definite)
 
 
 @dataclass(frozen=True)
@@ -176,8 +166,8 @@ def assemble_block_A(tensors):
     A = np.block([[C, e.T], [-e, eps]])
     with np.errstate(over="ignore"):     # an overflow is a non-finite entry
         sym = 0.5 * (A + A.T)
-    c0 = float(_check_spd(sym, "A (symmetric part)").min())
-    return BlockOperatorA(matrix=A, c0=c0)
+    w, _ = _check_spd(sym, "A (symmetric part)")
+    return BlockOperatorA(matrix=A, c0=float(w.min()))
 
 
 def assemble_block_D(tensors):
@@ -192,7 +182,7 @@ def assemble_block_D(tensors):
         D = 0.5 * (D + D.T)
     # eigh, not eigvalsh: the two LAPACK drivers differ in the last bits, and
     # check prints lam_min to 17 digits
-    w = _check_spd(D, "D", eig=lambda m: np.linalg.eigh(m)[0])
+    (w, _), _ = _check_spd(D, "D", vectors=True)
     return BlockOperatorD(matrix=D, lam_min=float(w.min()))
 
 

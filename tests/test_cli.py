@@ -1,11 +1,14 @@
 """Command line driver: exit codes, artifacts, determinism, coercivity gate."""
 
+import ast
+import itertools
 import os
 import re
 import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from ferrosolve.cli import main
@@ -188,7 +191,12 @@ def test_check_prints_certificates(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "c0 = " in out
     assert "lambda_min_D = " in out
-    assert "growth" in out
+    # the growth constants print as plain floats, not as numpy's repr
+    growth = [ast.literal_eval(ln.split("growth = ")[1])
+              for ln in out.splitlines() if "growth = " in ln]
+    assert growth[0] == {"b1": 0.5, "b2": 0.0, "p": 2.0}
+    assert len(growth) == 2 and all(type(v) is float
+                                    for g in growth for v in g.values())
 
 
 def test_coercivity_gate_exit_three_without_override(tmp_path):
@@ -386,6 +394,15 @@ def test_level_bound_is_the_trajectory_size():
     assert level_violations("m", 4, 3, 1, 1) != []
 
 
+def _definite(line):
+    """Oracle: whether the diagonal written on a scenario line (one number
+    for all five entries, or five) is definite, by eigvalsh and the 1e-12
+    tolerance relative to the largest entry; an absent line is zero."""
+    nums = [float(t) for t in line.split("=")[1].split()] if line else [0.0]
+    M = np.diag(np.broadcast_to(nums, (5,)))
+    return bool(np.linalg.eigvalsh(M).min() > 1e-12 * max(np.abs(M).max(), 1.0))
+
+
 _HARDENING = [
     ("definite", "hardening = 0.5", True),
     ("zero", "", False),
@@ -398,18 +415,97 @@ _HARDENING = [
                          ids=[c[0] for c in _HARDENING])
 def test_check_reports_hardening_definiteness(tmp_path, capsys, name, line, definite):
     """The last line of `check` against an independent eigenvalue oracle."""
-    import numpy as np
-
     text = NONCOERCIVE.replace("dielectric = 1.0", "dielectric = 1.0\n" + line)
     scn = _write(tmp_path, "h.cfg", text)
-    nums = [float(t) for t in line.split("=")[1].split()] if line else [0.0]
-    H = np.diag(np.broadcast_to(nums, (5,)))
-    assert bool(H.any() and np.linalg.eigvalsh(H).min() > 1e-12) == definite
+    assert _definite(line) == definite
     assert main(["check", scn, "--override-coercivity"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert [ln.split(" = ")[0] for ln in out] == [
         "c0", "lambda_min_D", "f family", "g family", "hardening definite"]
     assert out[-1] == f"hardening definite = {definite}"
+
+
+#: f: (family lines, coercive or None to ask the oracle of its H line)
+_GATE_F = {
+    "quadratic_I": ("family = quadratic\nH = 1.0", None),
+    "quadratic_singular": ("family = quadratic\nH = 1 1 1 1 0", None),
+    "radial": ("family = log_saturation_radial\nP_s = 1.0", True),
+    "directional": ("family = log_saturation_directional\nP_s = 1.0\na = 1.0 0.0",
+                    False),
+}
+#: g: (family lines, rate-independent)
+_GATE_G = {
+    "power_law": ("family = power_law", False),
+    "ball": ("family = ball_indicator\nkappa = 0.5", True),
+}
+_GATE_L = {"absent": "", "1e-13": "hardening = 1e-13",
+           "semidefinite": "hardening = 0.5 0.5 0.5 0.5 0.0",
+           "definite": "hardening = 0.5"}
+_GATE_CASES = list(itertools.product(_GATE_F, _GATE_G, _GATE_L))
+
+
+@pytest.mark.parametrize("f,g,hardening", _GATE_CASES, ids=map("-".join, _GATE_CASES))
+def test_coercivity_gate_table(tmp_path, capsys, f, g, hardening):
+    """check passes under definite hardening, or for a rate-dependent g with
+    a coercive f; else it exits 3 naming the reason, and passes under
+    --override-coercivity."""
+    (f_lines, coercive), (g_lines, rate_independent) = _GATE_F[f], _GATE_G[g]
+    if coercive is None:
+        coercive = _definite(f_lines.splitlines()[-1])
+    text = (NONCOERCIVE
+            .replace("dielectric = 1.0", "dielectric = 1.0\n" + _GATE_L[hardening])
+            .replace("family = log_saturation_directional\nP_s = 1.0\na = 1.0 0.0",
+                     f_lines)
+            .replace("family = ball_indicator\nkappa = 0.5", g_lines))
+    scn = _write(tmp_path, "gate.cfg", text)
+    ok = _definite(_GATE_L[hardening]) or (coercive and not rate_independent)
+    assert main(["check", scn]) == (0 if ok else 3)
+    err = capsys.readouterr().err
+    if not ok:
+        reason = ("is rate-independent" if rate_independent
+                  else "lacks the quadratic lower bound")
+        assert err.startswith("ValidationError: the ")
+        assert reason in err and "hardening map is not positive definite" in err
+    assert main(["check", scn, "--override-coercivity"]) == 0
+    assert ("warning" in capsys.readouterr().err) == (not ok)
+
+
+@pytest.mark.parametrize("key,old", [("H", "H = 1.0"), ("hardening", "hardening = 0.2")])
+@pytest.mark.parametrize("values", ["nan 0 0 1", "1 0 0 inf", "-inf 0 0 1",
+                                    "1e308 1e308 1e308 1e308"],
+                         ids=["nan", "inf", "-inf", "1e308_full"])
+def test_non_finite_matrix_exit_three(tmp_path, capsys, key, old, values):
+    """A matrix with a non-finite entry or eigenvalue, as H or as the
+    hardening map, fails check with exit 3 naming its section."""
+    assert old in REFERENCE
+    scn = _write(tmp_path, "bad.cfg", REFERENCE.replace(old, f"{key} = {values}"))
+    assert main(["check", scn]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ValidationError: [potential.f]" if key == "H"
+                          else "ValidationError: [tensors]")
+    assert "non-finite" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("elastic,hardening,message", [
+    ("2.0", "1e308 1e308 1e308 1e308",
+     "ValidationError: [tensors] L_hard is not positive definite "
+     "(non-finite entry or eigenvalue)"),
+    ("1e307", "1.7e308",
+     "ValidationError: the spectral bound lambda_max(D) + lambda_max(L) + reg = "),
+], ids=["L_1e308_full", "C_1e307_L_1.7e308"])
+def test_overflowing_spectral_bound_exit_three(tmp_path, elastic, hardening, message):
+    """A hardening map whose eigenvalue, or a spectral bound whose sum,
+    overflows is one line and exit 3 from run, not a traceback."""
+    text = (REFERENCE.replace("cells = 16", "cells = 4")
+            .replace("elastic = 2.0", f"elastic = {elastic}")
+            .replace("hardening = 0.2", f"hardening = {hardening}"))
+    scn = _write(tmp_path, "huge.cfg", text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ferrosolve.cli", "run", scn, "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=dict(os.environ, FERROSOLVE_THREADS="1"))
+    assert proc.returncode == 3
+    assert proc.stderr.startswith(message) and len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
 
 
 _FAMILY_KEYS = [

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ferrosolve import (NonPositiveDefinite, assemble_block_A,
+from ferrosolve import (NonPositiveDefinite, Quadratic, assemble_block_A,
                         assemble_block_D, isotropic_stiffness, make_tensors,
                         pack_sym, unpack_sym)
 from ferrosolve.tensors import constitutive_stress_field
@@ -138,3 +138,36 @@ def test_non_finite_blocks_rejected(kwargs, block):
         assemble_block_A(t)
         assemble_block_D(t)
     assert exc.value.tensor_name == block
+
+
+#: (name, matrix on the internal space of dim = 1, verdict): True where it
+#: is definite, False where it is only semidefinite, else (the error that
+#: both Quadratic and make_tensors raise, its message)
+DEFINITENESS = [
+    ("nan", [[np.nan, 0.0], [0.0, 1.0]], (NonPositiveDefinite, "non-finite")),
+    ("inf", np.diag([1.0, np.inf]), (NonPositiveDefinite, "non-finite")),
+    ("-inf", np.diag([-np.inf, 1.0]), (NonPositiveDefinite, "non-finite")),
+    # eigenvalues 0 and 2e308: not the finite 0 beside the overflow
+    ("1e308_full", np.full((2, 2), 1e308), (NonPositiveDefinite, "non-finite")),
+    ("1e-300", 1e-300 * np.eye(2), False),
+    ("1e-13", 1e-13 * np.eye(2), False),
+    ("semidefinite", np.diag([0.5, 0.0]), False),
+    ("definite", [[0.5, 0.1], [0.1, 0.5]], True),
+    ("indefinite", np.diag([1.0, -0.1]), (NonPositiveDefinite, "eigenvalue -1.0")),
+    ("asymmetric", [[1.0, 0.5], [0.0, 1.0]], (ValueError, "not symmetric")),
+]
+
+
+@pytest.mark.parametrize("name,M,verdict", DEFINITENESS,
+                         ids=[c[0] for c in DEFINITENESS])
+def test_one_definiteness_rule_for_H_and_L(name, M, verdict):
+    """A quadratic remanent energy is coercive exactly when the same matrix
+    as hardening map is definite, and both reject the same matrices."""
+    M = np.asarray(M, dtype=float)
+    if isinstance(verdict, bool):
+        assert Quadratic(M).coercive is verdict
+        assert make_tensors(1, 2.0, 1.0, hardening=M).hardening_definite is verdict
+        return
+    for build in (Quadratic, lambda M: make_tensors(1, 2.0, 1.0, hardening=M)):
+        with pytest.raises(verdict[0], match=verdict[1]):
+            build(M)
