@@ -16,7 +16,7 @@ import numpy as np
 from .errors import (DomainEscape, FerrosolveError, MismatchedScenario,
                      NonPositiveDefinite, ParseError, ValidationError)
 from . import io as fio
-from .rothe import average_loads, interpolant_gap
+from .rothe import average_loads, interpolant_gap, spectral_bound
 from .scenario import parse_scenario
 from .tensors import assemble_block_A, assemble_block_D
 from .young import build_measure, convergence_study, mvs_residual, uniform_partition
@@ -168,6 +168,10 @@ def cmd_check(scn, args):
     tensors = scn.build_tensors()
     block_A = assemble_block_A(tensors)
     block_D = assemble_block_D(tensors)
+    # the largest reg a run of this scenario can use: at its coarsest level
+    reg = (1.0 / min(scn.level, scn.levels[0]) if scn.reg_weight is None
+           else scn.reg_weight)
+    spectral_bound(block_D.matrix, tensors.L_hard, reg)
     f_spec = scn.build_f()
     g_spec = scn.build_g()
     print(f"c0 = {block_A.c0:.17g}")

@@ -29,6 +29,24 @@ class FieldState:
     D: np.ndarray          # per-cell electric displacement (n_cells, d)
 
 
+def _csr(counts, cols, vals, shape):
+    """CSR matrix of entries listed row by row, columns ascending in a row,
+    with counts[r] entries in row r."""
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    return sp.csr_matrix((vals, cols, indptr), shape=shape)
+
+
+def _block_diagonal(volumes, block):
+    """kron(diag(volumes), block) as CSR: each cell's volume times the
+    nonzero entries of block, none for a cell of zero volume."""
+    nc, k = len(volumes), len(block)
+    i, j = np.nonzero(block)
+    cells = np.flatnonzero(volumes)
+    counts = (volumes != 0)[:, None] * np.bincount(i, minlength=k)
+    return _csr(counts.ravel(), (cells[:, None] * k + j).ravel(),
+                (volumes[cells, None] * block[i, j]).ravel(), (nc * k, nc * k))
+
+
 class AssembledSystem:
     """Factorized discrete operator plus right-hand-side builders.
 
@@ -45,7 +63,7 @@ class AssembledSystem:
         self.block_A = assemble_block_A(tensors)
         self.block_D = assemble_block_D(tensors)
         self._build_dof_map()
-        self._build_operators(self._build_B())
+        self._build_operators()
         self.lu = None
         if self.n_free:
             try:
@@ -71,8 +89,10 @@ class AssembledSystem:
         if self.n_free == 0 and g.n_cells == 0:
             raise SingularSystem("grid has no degrees of freedom")
 
-    def _build_B(self):
-        """Per-cell map from element dofs to (packed strain, potential gradient)."""
+    def _build_B(self, grads):
+        """Per-cell map from element dofs to (packed strain, potential
+        gradient), given the shape-function gradients (nc, nn, d) of each
+        cell's nodes; column block a depends on grads[:, a] alone."""
         g = self.grid
         d, s = g.dim, g.strain_dim
         nn = d + 1                       # nodes per simplex
@@ -80,7 +100,6 @@ class AssembledSystem:
         from .packing import sym_index_pairs
         pairs = sym_index_pairs(d)
         B = np.zeros((g.n_cells, k, nn * self.n_comp))
-        grads = g.grads                  # (nc, nn, d)
         for a in range(nn):
             for n, (i, j) in enumerate(pairs):
                 col_i = a * self.n_comp + i
@@ -94,38 +113,46 @@ class AssembledSystem:
             B[:, s:, phi_col] += grads[:, a, :]
         return B
 
-    def _build_operators(self, B):
+    def _build_operators(self):
         """Sparse strain map G, stiffness K = G^T (V x A) G, source and load maps.
 
         G stacks the per-cell B over the free dofs, so G U is the per-cell
-        (packed strain, potential gradient) of the free-dof vector U.
+        (packed strain, potential gradient) of the free-dof vector U.  G, the
+        block diagonals V x A and V x W and the load map are built as CSR
+        with ascending columns in each row; the products defining K and the
+        source map are kept as written, since their summation order fixes
+        the bits of K and of its LU factors.
         """
         g, t = self.grid, self.tensors
         nc, k, m = g.n_cells, g.internal_dim, self.n_comp
-        el_free = self.dof_of[(g.cells[:, :, None] * m
-                               + np.arange(m)).reshape(nc, -1)]     # (nc, ne)
-        rows = np.broadcast_to(np.arange(nc * k).reshape(nc, k, 1), B.shape)
-        cols = np.broadcast_to(el_free[:, None, :], B.shape)
-        keep = (cols >= 0) & (B != 0.0)
-        self.G = sp.csr_matrix((B[keep], (rows[keep], cols[keep])),
-                               shape=(nc * k, self.n_free))
-        VA = sp.kron(sp.diags(g.volumes), self.block_A.matrix, format="csr")
+        # each cell's nodes ascending, so its free dofs are too (-1 marks
+        # a boundary dof); B's columns follow the nodes
+        order = np.argsort(g.cells, axis=1)
+        cells = np.take_along_axis(g.cells, order, axis=1)
+        B = self._build_B(np.take_along_axis(g.grads, order[:, :, None], axis=1))
+        el_free = self.dof_of[(cells[:, :, None] * m + np.arange(m)).reshape(nc, -1)]
+        keep = (el_free[:, None, :] >= 0) & (B != 0.0)
+        self.G = _csr(keep.sum(axis=2).ravel(),
+                      np.broadcast_to(el_free[:, None, :], B.shape)[keep], B[keep],
+                      (nc * k, self.n_free))
+        VA = _block_diagonal(g.volumes, self.block_A.matrix)
         self.K = (self.G.T @ VA @ self.G).tocsc()
         # internal state z -> (C r, P - e r) per cell, weighted by its volume
         W = np.block([[t.C, np.zeros((g.strain_dim, g.dim))],
                       [-t.e_piezo, np.eye(g.dim)]])
-        self.source_map = (self.G.T @ sp.kron(sp.diags(g.volumes), W)).tocsr()
+        self.source_map = (self.G.T @ _block_diagonal(g.volumes, W)).tocsr()
         # per cell, M z = z @ _M_of_z + (G U) @ _M_of_grads: _reduce is linear
         eye, zero = np.eye(k), np.zeros((k, k))
         self._M_of_z = self._reduce(eye, zero)
         self._M_of_grads = self._reduce(zero, eye)
-        # each cell spreads vol/(d+1) of its (b, q) onto every one of its nodes
-        rows = el_free.reshape(nc, -1, m)
-        cols = np.broadcast_to(np.arange(nc * m).reshape(nc, 1, m), rows.shape)
-        vals = np.broadcast_to((g.volumes / (g.dim + 1))[:, None, None], rows.shape)
-        keep = rows >= 0
-        self.load_map = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
-                                      shape=(self.n_free, nc * m))
+        # each cell spreads vol/(d+1) of its (b, q) onto every one of its
+        # nodes; a free dof's row lists the cells that touch it in order
+        entry = np.argsort(el_free.ravel(), kind="stable")
+        entry = entry[el_free.ravel()[entry] >= 0]
+        cell, comp = entry // el_free.shape[1], entry % m
+        self.load_map = _csr(np.bincount(el_free.ravel()[entry], minlength=self.n_free),
+                             cell * m + comp, (g.volumes / (g.dim + 1))[cell],
+                             (self.n_free, nc * m))
 
     # ------------------------------------------------------------------
 

@@ -8,14 +8,16 @@ class FerrosolveError(Exception):
 
 
 class NonPositiveDefinite(FerrosolveError):
-    """A material tensor violates its definiteness requirement."""
+    """A material tensor violates its definiteness requirement: positive
+    definite, or positive semidefinite where ``semidefinite``."""
 
-    def __init__(self, tensor_name, eigenvalue):
+    def __init__(self, tensor_name, eigenvalue, semidefinite=False):
         self.tensor_name = tensor_name
         self.eigenvalue = eigenvalue
         detail = (f"offending eigenvalue {eigenvalue:.6e}" if math.isfinite(eigenvalue)
                   else "non-finite entry or eigenvalue")
-        super().__init__(f"{tensor_name} is not positive definite ({detail})")
+        kind = "semidefinite" if semidefinite else "definite"
+        super().__init__(f"{tensor_name} is not positive {kind} ({detail})")
 
 
 class OutsideDomain(FerrosolveError):

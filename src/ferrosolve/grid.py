@@ -82,27 +82,16 @@ class Grid:
 
     # ------------------------------------------------------------------
 
-    def _node_id(self, multi):
-        return np.ravel_multi_index(multi, self.nodes_per_axis)
-
     def _build_cells(self):
+        """Corner node ids of every simplex, box by box in ``itertools.product``
+        order: each box's 2**d corners are one broadcast of the box origins
+        against the corner offsets, raveled in one call."""
         d = self.dim
-        boxes = list(itertools.product(*[range(n) for n in self.cells_per_axis]))
-        if d == 1:
-            simplices = [(0, 1)]
-        elif d == 2:
-            simplices = _TRIANGLES
-        else:
-            simplices = _TETS
-        cells = []
-        for box in boxes:
-            corner_ids = {}
-            for code in range(1 << d):
-                multi = tuple(box[ax] + ((code >> ax) & 1) for ax in range(d))
-                corner_ids[code] = self._node_id(multi)
-            for simplex in simplices:
-                cells.append([corner_ids[c] for c in simplex])
-        return np.asarray(cells, dtype=np.int64)
+        simplices = {1: [(0, 1)], 2: _TRIANGLES, 3: _TETS}[d]
+        origins = np.indices(self.cells_per_axis).reshape(d, -1, 1)
+        offsets = (np.arange(1 << d) >> np.arange(d)[:, None]) & 1    # (d, 2**d)
+        corners = np.ravel_multi_index(origins + offsets[:, None, :], self.nodes_per_axis)
+        return corners[:, simplices].reshape(-1, d + 1).astype(np.int64, copy=False)
 
     def _geometry(self):
         d = self.dim

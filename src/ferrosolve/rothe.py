@@ -220,6 +220,22 @@ class AndersonHistory:
         return r - alpha @ self.dY[:m] - alpha @ self.dR[:m]
 
 
+def spectral_bound(D, L, reg):
+    """Upper bound lambda_max(D) + lambda_max(L) + reg on the spectrum of M_m.
+
+    I - Q is the D-orthogonal projection, so <M z, z> = |(I - Q) z|_D^2
+    <= |z|_D^2 <= lambda_max(D) |z|^2.  ValidationError when the sum
+    overflows: then the step gamma = 1.8 / bound would be 0.
+    """
+    lam_D = float(np.linalg.eigvalsh(D).max())
+    lam_L = float(np.linalg.eigvalsh(L).max())
+    bound = lam_D + lam_L + reg
+    if not np.isfinite(bound):
+        raise ValidationError(f"the spectral bound lambda_max(D) + lambda_max(L) + reg = "
+                              f"{lam_D:.6e} + {lam_L:.6e} + {reg:.6e} overflows")
+    return bound
+
+
 class SteppedProblem:
     """One dyadic level of the discretized evolution on a fixed grid."""
 
@@ -240,28 +256,13 @@ class SteppedProblem:
         self.vol = grid.volumes
         self.L = system.tensors.L_hard
 
-        self.lam_max = self._lam_max_bound()
+        self.lam_max = spectral_bound(system.block_D.matrix, self.L, self.reg)
         self.gamma = 1.8 / self.lam_max
 
     # -- operator ------------------------------------------------------
 
     def apply_M(self, z):
         return self.system.apply_M(z)
-
-    def _lam_max_bound(self):
-        """Upper bound lambda_max(D) + lambda_max(L) + reg on the spectrum of M_m.
-
-        I - Q is the D-orthogonal projection, so <M z, z> = |(I - Q) z|_D^2
-        <= |z|_D^2 <= lambda_max(D) |z|^2.  ValidationError when the sum
-        overflows: then gamma would be 0.
-        """
-        lam_D = float(np.linalg.eigvalsh(self.system.block_D.matrix).max())
-        lam_L = float(np.linalg.eigvalsh(self.L).max())
-        bound = lam_D + lam_L + self.reg
-        if not np.isfinite(bound):
-            raise ValidationError(f"the spectral bound lambda_max(D) + lambda_max(L) + reg = "
-                                  f"{lam_D:.6e} + {lam_L:.6e} + {self.reg:.6e} overflows")
-        return bound
 
     # -- certificate ----------------------------------------------------
 

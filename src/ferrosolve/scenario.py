@@ -11,6 +11,7 @@ builders: ``_FAMILIES`` (each potential family's class and parameters) and
 ``_SECTIONS`` (the keys of each section, in canonical order).
 """
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, fields
 
@@ -281,6 +282,36 @@ class _Reader:
         return ok
 
 
+def _initial_rows(r, n_cells, width):
+    """The cell ids and values of the [initial] rows, read in one pass with
+    the conversions of _ints and _floats.  When a row is at fault, the rows
+    are scanned one by one, and the first unreadable row raises or each bad
+    row is a violation."""
+    rows = list(map(str.split, [text for _, text in
+                                r.sections.get("initial", {}).get("row", [])]))
+    if rows and set(map(len, rows)) == {width}:
+        tokens = list(itertools.chain.from_iterable(rows))
+        try:
+            cells = list(map(int, tokens[::width]))
+            nums = np.array(list(map(float, tokens))).reshape(-1, width)
+        except ValueError:
+            cells = None
+        if (cells is not None and np.isfinite(nums).all() and 0 <= min(cells)
+                and max(cells) < n_cells and len(set(cells)) == len(cells)):
+            return cells, nums[:, 1:]
+    rows = {}
+    for line, text, nums in r.rows("initial", (width,)):
+        ci = _ints(text.split(None, 1)[0], "[initial] row cell", line)[0]
+        if not 0 <= ci < n_cells:
+            r.violations.append(f"[initial] row at line {line}: cell {ci} out of range")
+        elif ci in rows:
+            r.violations.append(f"[initial] row at line {line}: cell {ci} "
+                                f"already set at line {rows[ci][0]}")
+        else:
+            rows[ci] = (line, nums[1:])
+    return list(rows), [values for _, values in rows.values()]
+
+
 def parse_scenario(path_or_text, is_text=False):
     """Parse and validate a scenario file.
 
@@ -393,20 +424,10 @@ def parse_scenario(path_or_text, is_text=False):
     else:
         if r.given("initial", "z"):
             violations.append("[initial] give either z or rows, not both")
-        rows = {}
-        for line, text, nums in r.rows("initial", (1 + k_dim,)):
-            ci = _ints(text.split(None, 1)[0], "[initial] row cell", line)[0]
-            if not 0 <= ci < n_cells:
-                violations.append(f"[initial] row at line {line}: cell {ci} out of range")
-            elif ci in rows:
-                violations.append(f"[initial] row at line {line}: cell {ci} "
-                                  f"already set at line {rows[ci][0]}")
-            else:
-                rows[ci] = (line, nums[1:])
+        ids, values = _initial_rows(r, n_cells, 1 + k_dim)
         if not violations:      # else the grid may be too large to allocate
             z0 = np.zeros((n_cells, k_dim))
-            for ci, (_, values) in rows.items():
-                z0[ci] = values
+            z0[ids] = values
 
     # checkpoints / tolerances / options -------------------------------------
     checkpoints = np.array(r.numbers("checkpoints", "times", [T]))

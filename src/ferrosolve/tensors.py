@@ -43,7 +43,7 @@ def _check_spd(mat, name, semidefinite=False, vectors=False):
     The entries are tested first, so that no LinAlgError escapes.
     """
     if not np.isfinite(mat).all():
-        raise NonPositiveDefinite(name, float("nan"))
+        raise NonPositiveDefinite(name, float("nan"), semidefinite)
     scale = max(float(np.abs(mat).max()), 1.0)
     with np.errstate(over="ignore"):     # an overflow is an asymmetry
         if np.abs(mat - mat.T).max() > SYM_TOL * scale:
@@ -51,10 +51,10 @@ def _check_spd(mat, name, semidefinite=False, vectors=False):
     spectrum = np.linalg.eigh(mat) if vectors else np.linalg.eigvalsh(mat)
     w = spectrum[0] if vectors else spectrum
     if not np.isfinite(w).all():
-        raise NonPositiveDefinite(name, float("nan"))
+        raise NonPositiveDefinite(name, float("nan"), semidefinite)
     lam_min = float(w.min())
     if not (lam_min >= -SYM_TOL * scale if semidefinite else lam_min > 0.0):
-        raise NonPositiveDefinite(name, lam_min)
+        raise NonPositiveDefinite(name, lam_min, semidefinite)
     return spectrum, lam_min > SYM_TOL * scale
 
 

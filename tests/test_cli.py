@@ -488,14 +488,17 @@ def test_non_finite_matrix_exit_three(tmp_path, capsys, key, old, values):
 
 @pytest.mark.parametrize("elastic,hardening,message", [
     ("2.0", "1e308 1e308 1e308 1e308",
-     "ValidationError: [tensors] L_hard is not positive definite "
+     "ValidationError: [tensors] L_hard is not positive semidefinite "
      "(non-finite entry or eigenvalue)"),
     ("1e307", "1.7e308",
      "ValidationError: the spectral bound lambda_max(D) + lambda_max(L) + reg = "),
 ], ids=["L_1e308_full", "C_1e307_L_1.7e308"])
-def test_overflowing_spectral_bound_exit_three(tmp_path, elastic, hardening, message):
+def test_overflowing_spectral_bound_exit_three(tmp_path, capsys, elastic, hardening,
+                                               message):
     """A hardening map whose eigenvalue, or a spectral bound whose sum,
-    overflows is one line and exit 3 from run, not a traceback."""
+    overflows is one line and exit 3 from run and from check, not a
+    traceback.  check takes reg at the coarsest level it can run,
+    1 / min(level, levels[0]) = 1/3."""
     text = (REFERENCE.replace("cells = 16", "cells = 4")
             .replace("elastic = 2.0", f"elastic = {elastic}")
             .replace("hardening = 0.2", f"hardening = {hardening}"))
@@ -506,6 +509,11 @@ def test_overflowing_spectral_bound_exit_three(tmp_path, elastic, hardening, mes
     assert proc.returncode == 3
     assert proc.stderr.startswith(message) and len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
+    assert main(["check", scn]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(message) and len(err.splitlines()) == 1
+    if "spectral" in message:
+        assert err.endswith(" + 3.333333e-01 overflows\n")
 
 
 _FAMILY_KEYS = [

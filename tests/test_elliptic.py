@@ -3,6 +3,8 @@ projection identities."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from ferrosolve import AssembledSystem, Grid, make_tensors, pack_sym
 
@@ -311,3 +313,60 @@ def test_load_vector_matches_vertex_loop():
     per_cell = sys_.rhs_from_loads(np.tile(b0, (grid.n_cells, 1)),
                                    np.full(grid.n_cells, q0))
     assert np.array_equal(sys_.rhs_from_loads(b0, q0), per_cell)
+
+
+# ---------------------------------------------------------------------------
+# sparse operators, bit for bit against Kronecker products and COO assembly
+
+
+def _operators_oracle(sys_):
+    """G, K, source map, load map and the LU factors of K from Kronecker
+    products of scipy's diagonal matrices and COO triplets converted to CSR."""
+    g, t = sys_.grid, sys_.tensors
+    B = sys_._build_B(g.grads)
+    nc, k, m = g.n_cells, g.internal_dim, sys_.n_comp
+    el_free = sys_.dof_of[(g.cells[:, :, None] * m + np.arange(m)).reshape(nc, -1)]
+    rows = np.broadcast_to(np.arange(nc * k).reshape(nc, k, 1), B.shape)
+    cols = np.broadcast_to(el_free[:, None, :], B.shape)
+    keep = (cols >= 0) & (B != 0.0)
+    G = sp.csr_matrix((B[keep], (rows[keep], cols[keep])), shape=(nc * k, sys_.n_free))
+    VA = sp.kron(sp.diags(g.volumes), sys_.block_A.matrix, format="csr")
+    K = (G.T @ VA @ G).tocsc()
+    lu = spla.splu(K)               # sorts the indices of K in place
+    W = np.block([[t.C, np.zeros((g.strain_dim, g.dim))],
+                  [-t.e_piezo, np.eye(g.dim)]])
+    source_map = (G.T @ sp.kron(sp.diags(g.volumes), W)).tocsr()
+    rows = el_free.reshape(nc, -1, m)
+    cols = np.broadcast_to(np.arange(nc * m).reshape(nc, 1, m), rows.shape)
+    vals = np.broadcast_to((g.volumes / (g.dim + 1))[:, None, None], rows.shape)
+    keep = rows >= 0
+    load_map = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
+                             shape=(sys_.n_free, nc * m))
+    return {"G": G, "K": K, "source_map": source_map, "load_map": load_map,
+            "L": lu.L, "U": lu.U, "perm_r": lu.perm_r, "perm_c": lu.perm_c}
+
+
+@pytest.mark.parametrize("coupling", [False, True], ids=["uncoupled", "coupled"])
+@pytest.mark.parametrize("dim,n,lengths", [
+    (1, 7, 2.0), (2, (3, 5), (1.0, 3.0)), (2, (4, 2), (1e-3, 7.0)),
+    (3, (2, 3, 4), (1.0, 2.0, 0.5))])
+def test_operators_match_kron_and_coo_assembly(dim, n, lengths, coupling):
+    """G, K, the source map, the load map and the LU factors of K have the
+    oracle's format, shape, data bits, indices and index pointers.  A full
+    coupling makes the oracle's V x W a block-sparse matrix with explicit
+    zeros."""
+    rng = np.random.default_rng(dim)
+    s = dim * (dim + 1) // 2
+    t = make_tensors(dim, ("isotropic", 0.7, 1.1), np.diag(rng.uniform(0.5, 2.0, dim)),
+                     coupling=rng.standard_normal((dim, s)) if coupling else None,
+                     hardening=0.1)
+    sys_ = AssembledSystem(Grid(dim, n, lengths), t)
+    for name, expected in _operators_oracle(sys_).items():
+        got = getattr(sys_.lu if name in ("L", "U", "perm_r", "perm_c") else sys_, name)
+        if name.startswith("perm"):
+            assert np.array_equal(got, expected), name
+            continue
+        assert (got.format, got.shape) == (expected.format, expected.shape), name
+        assert got.data.tobytes() == expected.data.tobytes(), name
+        assert np.array_equal(got.indices, expected.indices), name
+        assert np.array_equal(got.indptr, expected.indptr), name

@@ -1,9 +1,12 @@
 """Simplicial box grids: measures, gradients, packing consistency."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from ferrosolve import Grid
+from ferrosolve.grid import _TETS, _TRIANGLES
 from test_elliptic import _nodal_gradient, _node_measures, _strain
 
 
@@ -58,3 +61,29 @@ def test_cells_per_box():
     assert Grid(1, 5).n_cells == 5
     assert Grid(2, 3).n_cells == 2 * 9
     assert Grid(3, 2).n_cells == 6 * 8
+
+
+def _cells_oracle(grid):
+    """Corner node ids of every simplex, box by box and corner by corner."""
+    d = grid.dim
+    simplices = {1: [(0, 1)], 2: _TRIANGLES, 3: _TETS}[d]
+    cells = []
+    for box in itertools.product(*[range(n) for n in grid.cells_per_axis]):
+        corner_ids = {}
+        for code in range(1 << d):
+            multi = tuple(box[ax] + ((code >> ax) & 1) for ax in range(d))
+            corner_ids[code] = np.ravel_multi_index(multi, grid.nodes_per_axis)
+        for simplex in simplices:
+            cells.append([corner_ids[c] for c in simplex])
+    return np.asarray(cells, dtype=np.int64)
+
+
+@pytest.mark.parametrize("dim,n,lengths", [
+    (1, 7, 2.0), (1, 1, 1.0), (2, (3, 5), (1.0, 3.0)), (2, (4, 1), 1.0),
+    (3, (2, 3, 4), (1.0, 2.0, 0.5)), (3, 1, 1.0)])
+def test_cells_match_box_by_box_loop(dim, n, lengths):
+    """The simplices, their order and their corner order are those of the
+    loop over boxes in itertools.product order and over box corners."""
+    g = Grid(dim, n, lengths)
+    expected = _cells_oracle(g)
+    assert g.cells.dtype == expected.dtype and np.array_equal(g.cells, expected)

@@ -1,8 +1,10 @@
 """Scenario parsing, validation reporting, canonical round-trip."""
 
 import contextlib
+import gc
 import io
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -291,3 +293,129 @@ def test_huge_grid_with_cell_rows_is_a_violation():
     assert exc.value.violations == [
         "[time] level: level 4 gives 10000000000 cells x 2 components x 2**4 steps, "
         "more than 16777216 values"]
+
+
+def test_cell_rows_read_bit_for_bit():
+    """Per-cell rows in shuffled order, with signed zeros, exponents and
+    tiny values, give a z0 equal bit for bit to float() of each token."""
+    rng = np.random.default_rng(7)
+    tokens = ["-0", "0", "-0.0", "1e-300", "-1E-300", "5e-324", "2.5e+3", "-7.125e-12",
+              "0.1", "3", "+4.0", "1_000.5", ".5", "1.7976931348623157e308"]
+    text = MINIMAL.replace("dim = 1", "dim = 2").replace("cells = 4", "cells = 3")
+    expected = np.zeros((18, 5))
+    rows = []
+    for c in rng.permutation(18):
+        values = rng.choice(tokens, 5)
+        expected[c] = [float(v) for v in values]
+        rows.append(f"row = {rng.choice([str(c), f'+{c}', f'0{c}'])} {' '.join(values)}\n")
+    scn = parse_scenario(text + "\n[initial]\n" + "".join(rows), is_text=True)
+    assert scn.z0.tobytes() == expected.tobytes()
+
+
+#: malformed table rows after MINIMAL: the error of the first row at fault,
+#: or every violation, in file order, each with its line
+_BAD_ROWS = [
+    ("initial_count_range_repeat",
+     "[initial]\nrow = 0 0.1 0.2\nrow = 1 0.1\nrow = 9 0.0 0.0\nrow = 0 0.3 0.4\n"
+     "row = -1 0 0\n",
+     ValidationError, "[initial] row at line 15: expected 3 numbers, got 2; "
+     "[initial] row at line 16: cell 9 out of range; [initial] row at line 17: cell 0 "
+     "already set at line 14; [initial] row at line 18: cell -1 out of range"),
+    ("initial_negative_cell", "[initial]\nrow = 0 0.0 0.0\nrow = -1 0.0 0.0\n",
+     ValidationError, "[initial] row at line 15: cell -1 out of range"),
+    ("initial_cell_past_end", "[initial]\nrow = 3 0.0 0.0\nrow = 4 0.0 0.0\n",
+     ValidationError, "[initial] row at line 15: cell 4 out of range"),
+    ("initial_cell_exponent", "[initial]\nrow = 3 0.0 0.0\nrow = 1e0 0.0 0.0\n",
+     ParseError, "line 15: [initial] row cell: expected integers, got '1e0'"),
+    ("initial_cell_then_number", "[initial]\nrow = 1.5 0.0 0.0\nrow = 2 x 0.0\n",
+     ParseError, "line 14: [initial] row cell: expected integers, got '1.5'"),
+    ("initial_count_then_number", "[initial]\nrow = 1 0.0\nrow = 2 x 0.0\n",
+     ParseError, "line 15: [initial] row: expected numbers, got '2 x 0.0'"),
+    ("initial_non_finite", "[initial]\nrow = 1 0.0 0.0\nrow = 2 0.0 inf\nrow = 7 0 0\n",
+     ValidationError, "[initial] row at line 15: non-finite value in '2 0.0 inf'"),
+    ("initial_cell_nan", "[initial]\nrow = nan 0.0 0.0\n",
+     ValidationError, "[initial] row at line 14: non-finite value in 'nan 0.0 0.0'"),
+    ("initial_huge_cell",
+     "[initial]\nrow = 99999999999999999999999 0.0 0.0\nrow = 1 0 0 0\n",
+     ValidationError, "[initial] row at line 14: cell 99999999999999999999999 out of "
+     "range; [initial] row at line 15: expected 3 numbers, got 4"),
+    ("loads_count", "[loads]\nrow = 0.0 0.0 0.0\nrow = 0.5 1.0\nrow = 0.25 0.0 0.0\n",
+     ValidationError, "[loads] row at line 15: expected 3 numbers, got 2; "
+     "[loads] table must cover [0, 1.0] (got [0.0, 0.25])"),
+    ("loads_word", "[loads]\nrow = 0.0 0.0 0.0\nrow = 1.0 abc 0.0\n",
+     ParseError, "line 15: [loads] row: expected numbers, got '1.0 abc 0.0'"),
+    ("loads_inf", "[loads]\nrow = 0.0 0.0 0.0\nrow = 1.0 -inf 0.0\n",
+     ValidationError, "[loads] row at line 15: non-finite value in '1.0 -inf 0.0'"),
+]
+
+
+@pytest.mark.parametrize("name,rows,error,message", _BAD_ROWS, ids=[c[0] for c in _BAD_ROWS])
+def test_bad_table_rows_reported_row_by_row(name, rows, error, message):
+    """A table with a row at fault gets the row-by-row report: the first
+    unreadable or non-finite row raises, and wrong counts, out-of-range
+    cells and repeated cells are all listed."""
+    with pytest.raises(error) as exc:
+        parse_scenario(MINIMAL + "\n" + rows, is_text=True)
+    assert str(exc.value) == message
+
+
+SETUP = """
+[grid]
+dim = 2
+cells = {n}
+lengths = 1.0 2.0
+
+[tensors]
+elastic = isotropic 1.0 1.0
+dielectric = 1.0
+coupling = 0.3 0 0 0 0.3 0
+hardening = 0.1
+
+[potential.f]
+family = log_saturation_radial
+
+[potential.g]
+family = power_law
+p = 3.0
+
+[time]
+level = 3
+
+[loads]
+row = 0.0 0.0 0.0 0.0
+row = 1.0 0.5 -0.5 1.0
+
+[initial]
+"""
+
+
+def _setup_calls(n):
+    """Python function calls ('call' events of sys.setprofile) made by
+    parsing the scenario on an n x n grid with one [initial] row per cell,
+    and building its grid and system."""
+    text = SETUP.format(n=n) + "".join(f"row = {c} 0.01 0 0 -0.0 1e-3\n"
+                                       for c in range(2 * n * n))
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    gc.disable()                # no finalizer runs inside the count
+    sys.setprofile(profile)
+    try:
+        scn = parse_scenario(text, is_text=True)
+        scn.build_system(scn.build_grid())
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return calls
+
+
+def test_set_up_makes_no_python_call_per_cell():
+    """Set-up is array work: 64x as many cells and [initial] rows make
+    about the same number of Python function calls, where one call per cell
+    or row would add thousands.  The margin leaves room for size-dependent
+    branches inside numpy and scipy."""
+    _setup_calls(4)             # fills the caches of first use
+    assert abs(_setup_calls(32) - _setup_calls(4)) < 100

@@ -54,11 +54,13 @@ def test_make_tensors_shapes(dim):
 
 
 def test_make_tensors_rejects_indefinite():
-    with pytest.raises(NonPositiveDefinite):
+    """C and eps must be positive definite, L only semidefinite; the
+    message says which."""
+    with pytest.raises(NonPositiveDefinite, match="^C is not positive definite"):
         make_tensors(1, -1.0, 1.0)
-    with pytest.raises(NonPositiveDefinite):
+    with pytest.raises(NonPositiveDefinite, match="^eps is not positive definite"):
         make_tensors(2, ("isotropic", 1.0, 1.0), [-0.5, 1.0])
-    with pytest.raises(NonPositiveDefinite):
+    with pytest.raises(NonPositiveDefinite, match="^L_hard is not positive semidefinite"):
         make_tensors(1, 1.0, 1.0, hardening=-0.1)
 
 
@@ -153,7 +155,8 @@ DEFINITENESS = [
     ("1e-13", 1e-13 * np.eye(2), False),
     ("semidefinite", np.diag([0.5, 0.0]), False),
     ("definite", [[0.5, 0.1], [0.1, 0.5]], True),
-    ("indefinite", np.diag([1.0, -0.1]), (NonPositiveDefinite, "eigenvalue -1.0")),
+    ("indefinite", np.diag([1.0, -0.1]),
+     (NonPositiveDefinite, r"is not positive semidefinite \(offending eigenvalue -1.0")),
     ("asymmetric", [[1.0, 0.5], [0.0, 1.0]], (ValueError, "not symmetric")),
 ]
 
