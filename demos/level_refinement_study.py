@@ -8,7 +8,7 @@ Run with:  python3 demos/level_refinement_study.py
 import numpy as np
 
 from ferrosolve import (AssembledSystem, Grid, LoadSchedule, PowerLaw,
-                        Quadratic, SteppedProblem, average_loads,
+                        Quadratic, SteppedProblem, average_loads, build_measure,
                         convergence_study, make_tensors, measure_at_time,
                         mvs_residual, uniform_partition)
 
@@ -41,9 +41,11 @@ for m in (4, 5, 6):
     mu = measure_at_time([trajs[m], trajs[m + 1]], grid.volumes, 1.0)
     print(f"  levels {{{m}, {m + 1}}}: max spread = {mu.max_spread:.3e}")
 
-# Full space-time study against a coarse reference partition.
-part = uniform_partition(problems[7].time_grid, grid, n_time_bins=4)
-study = convergence_study(results, f_spec, grid.strain_dim, grid.volumes, part)
+# Full space-time study: all levels pooled per (time bin, grid cell), on
+# four equal time bins.
+edges = uniform_partition(problems[7].time_grid, n_time_bins=4)
+pooled = build_measure([traj for _, traj in results], grid.volumes, edges)
+study = convergence_study(results, f_spec, grid.strain_dim, grid.volumes, pooled)
 print("\nfinal-state differences between consecutive levels "
       "(should roughly halve):")
 for (a, b), d in zip(zip(study["levels"], study["levels"][1:]),

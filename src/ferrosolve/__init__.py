@@ -22,7 +22,7 @@ from .errors import (AtomOutsideDomain, DomainEscape, FerrosolveError,
                      NonPositiveDefinite, OutsideDomain, ParseError,
                      SingularSystem, StepSolveFailure, UnsupportedFamily,
                      ValidationError)
-from .packing import isotropic_stiffness, pack_sym, unpack_sym
+from .packing import isotropic_stiffness
 from .tensors import (BlockOperatorA, BlockOperatorD, MaterialTensors,
                       assemble_block_A, assemble_block_D, make_tensors)
 from .potentials import (BallIndicator, LogSaturationDirectional,
@@ -33,9 +33,9 @@ from .elliptic import AssembledSystem, FieldState
 from .rothe import (EnergyLedger, LoadSchedule, StepCertificate,
                     SteppedProblem, TimeGrid, Trajectory, average_loads,
                     interpolant_gap)
-from .young import (EmpiricalYoungMeasure, MVSResidualReport,
-                    ReferencePartition, build_measure, convergence_study,
-                    eval_F, measure_at_time, mvs_residual, uniform_partition)
+from .young import (EmpiricalYoungMeasure, MVSResidualReport, build_measure,
+                    convergence_study, eval_F, measure_at_time, mvs_residual,
+                    uniform_partition)
 from .scenario import Scenario, Tolerances, parse_scenario, serialize_scenario
 
 __version__ = "0.1.0"
@@ -47,14 +47,11 @@ __all__ = [
     "LoadSchedule", "LogSaturationDirectional", "LogSaturationRadial",
     "MVSResidualReport", "MaterialTensors", "MismatchedScenario",
     "NoConvergence", "NonPositiveDefinite", "OutsideDomain", "ParseError",
-    "PotentialSpec", "PowerLaw", "Quadratic", "ReferencePartition",
-    "Scenario", "SingularSystem", "StepCertificate", "StepSolveFailure",
-    "SteppedProblem", "TimeGrid", "Tolerances", "Trajectory",
-    "UnsupportedFamily", "ValidationError", "assemble_block_A",
-    "assemble_block_D", "average_loads", "build_measure", "convergence_study",
-    "eval_F", "fenchel_residual",
-    "interpolant_gap", "isotropic_stiffness", "make_tensors",
-    "measure_at_time", "mvs_residual",
-    "pack_sym", "parse_scenario", "serialize_scenario", "uniform_partition",
-    "unpack_sym",
+    "PotentialSpec", "PowerLaw", "Quadratic", "Scenario", "SingularSystem",
+    "StepCertificate", "StepSolveFailure", "SteppedProblem", "TimeGrid",
+    "Tolerances", "Trajectory", "UnsupportedFamily", "ValidationError",
+    "assemble_block_A", "assemble_block_D", "average_loads", "build_measure",
+    "convergence_study", "eval_F", "fenchel_residual", "interpolant_gap",
+    "isotropic_stiffness", "make_tensors", "measure_at_time", "mvs_residual",
+    "parse_scenario", "serialize_scenario", "uniform_partition",
 ]

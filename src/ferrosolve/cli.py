@@ -16,7 +16,7 @@ import numpy as np
 from .errors import (DomainEscape, FerrosolveError, MismatchedScenario,
                      NonPositiveDefinite, ParseError, ValidationError)
 from . import io as fio
-from .rothe import average_loads, interpolant_gap, spectral_bound
+from .rothe import average_loads, interpolant_gap, level_reg, spectral_bound
 from .scenario import parse_scenario
 from .tensors import assemble_block_A, assemble_block_D
 from .young import build_measure, convergence_study, mvs_residual, uniform_partition
@@ -126,36 +126,33 @@ def cmd_converge(scn, args):
 
     system = scn.build_system()
     grid = system.grid
-    f_spec = scn.build_f()
-    g_spec = scn.build_g()
     tols = scn.tolerances
-    results = []
-    problems = {}
+    runs = []
     failures = []
     for lv in range(m0, m1 + 1):
         problem, traj, ledger = _run_level(scn, system, lv, outdir)
-        results.append((lv, traj))
-        problems[lv] = problem
+        runs.append((lv, problem, traj))
         failures.append(_energy_failure(lv, ledger, tols.tol_energy))
+    coarsest = runs[0][1]
+    f_spec, g_spec = coarsest.f, coarsest.g
 
-    partition = uniform_partition(problems[m0].time_grid, grid,
-                                  n_time_bins=2 ** m0)
-    study = convergence_study(results, f_spec, grid.strain_dim,
-                              grid.volumes, partition)
+    edges = uniform_partition(coarsest.time_grid, n_time_bins=2 ** m0)
+    measure = build_measure([traj for _, _, traj in runs], grid.volumes, edges)
+    study = convergence_study([(lv, traj) for lv, _, traj in runs], f_spec,
+                              grid.strain_dim, grid.volumes, measure)
     fio.write_study_csv(os.path.join(outdir, "study.csv"), study)
-    measure = build_measure([tr for _, tr in results], grid.volumes, partition)
     fio.write_measure_csv(os.path.join(outdir, "measure.csv"), measure)
 
     rows = []
-    for lv, traj in results:
-        rep = mvs_residual(traj, problems[lv], f_spec, g_spec)
+    for lv, problem, traj in runs:
+        rep = mvs_residual(traj, problem, f_spec, g_spec)
         rows.append((rep.lhs, rep.rhs, rep.slack)
                     + interpolant_gap(traj, grid.volumes, p_star=g_spec.p_star))
         if not rep.slack >= -tols.tol_mvs:
             failures.append(f"level {lv}: MVS slack {rep.slack:.3e} "
                             f"< -tol_mvs = {-tols.tol_mvs:.3e}")
     fio.write_mvs_csv(os.path.join(outdir, "mvs.csv"),
-                      [lv for lv, _ in results], rows)
+                      [lv for lv, _, _ in runs], rows)
 
     diffs = study["final_state_diffs"]
     print(f"levels {m0}..{m1}: final-state level differences "
@@ -169,9 +166,8 @@ def cmd_check(scn, args):
     block_A = assemble_block_A(tensors)
     block_D = assemble_block_D(tensors)
     # the largest reg a run of this scenario can use: at its coarsest level
-    reg = (1.0 / min(scn.level, scn.levels[0]) if scn.reg_weight is None
-           else scn.reg_weight)
-    spectral_bound(block_D.matrix, tensors.L_hard, reg)
+    spectral_bound(block_D.matrix, tensors.L_hard,
+                   level_reg(min(scn.level, scn.levels[0]), scn.reg_weight))
     f_spec = scn.build_f()
     g_spec = scn.build_g()
     print(f"c0 = {block_A.c0:.17g}")

@@ -10,9 +10,6 @@ import itertools
 
 import numpy as np
 
-SQRT2 = np.sqrt(2.0)
-
-
 def sym_dim(dim):
     """Dimension of the space of symmetric dim x dim matrices."""
     return dim * (dim + 1) // 2
@@ -28,33 +25,6 @@ def sym_index_pairs(dim):
     diag = [(i, i) for i in range(dim)]
     off = list(itertools.combinations(range(dim), 2))
     return diag + off
-
-
-def pack_sym(mat):
-    """Pack a symmetric matrix (last two axes) into a Mandel vector."""
-    mat = np.asarray(mat, dtype=float)
-    dim = mat.shape[-1]
-    pairs = sym_index_pairs(dim)
-    out = np.empty(mat.shape[:-2] + (len(pairs),))
-    for n, (i, j) in enumerate(pairs):
-        out[..., n] = mat[..., i, j] if i == j else SQRT2 * mat[..., i, j]
-    return out
-
-
-def unpack_sym(vec):
-    """Inverse of :func:`pack_sym`."""
-    vec = np.asarray(vec, dtype=float)
-    s = vec.shape[-1]
-    dim = int(round((np.sqrt(8 * s + 1) - 1) / 2))
-    pairs = sym_index_pairs(dim)
-    out = np.zeros(vec.shape[:-1] + (dim, dim))
-    for n, (i, j) in enumerate(pairs):
-        if i == j:
-            out[..., i, i] = vec[..., n]
-        else:
-            out[..., i, j] = vec[..., n] / SQRT2
-            out[..., j, i] = vec[..., n] / SQRT2
-    return out
 
 
 def identity_packed(dim):

@@ -104,8 +104,8 @@ class PotentialSpec:
         w = np.asarray(w, dtype=float)
         return w - lam * self.prox(1.0 / lam, w / lam)
 
-    def contains(self, v, margin=0.0):
-        """Whether v lies in the (closed, shrunk by margin) effective domain."""
+    def contains(self, v):
+        """Whether v lies in the effective domain."""
         return np.ones(np.asarray(v).shape[:-1], dtype=bool)
 
     # -- dissipation potentials ----------------------------------------
@@ -224,8 +224,8 @@ class BallIndicator(PotentialSpec):
     def violation(self, w):
         return np.maximum(0.0, _norm(w) - self.kappa)
 
-    def contains(self, v, margin=0.0):
-        return _norm(v) <= self.kappa * (1.0 + 1e-12) - margin
+    def contains(self, v):
+        return _norm(v) <= self.kappa * (1.0 + 1e-12)
 
 
 class Quadratic(PotentialSpec):
@@ -308,8 +308,8 @@ class LogSaturationRadial(PotentialSpec):
         scale = np.where(n > 0.0, rho / np.where(n > 0.0, n, 1.0), 0.0)
         return scale[..., None] * v
 
-    def contains(self, v, margin=0.0):
-        return _norm(v) < self.P_s * (1.0 - margin)
+    def contains(self, v):
+        return _norm(v) < self.P_s
 
 
 class LogSaturationDirectional(PotentialSpec):
@@ -372,8 +372,8 @@ class LogSaturationDirectional(PotentialSpec):
         perp -= (perp @ self.a)[..., None] * self.a
         return perp + rho[..., None] * self.a
 
-    def contains(self, v, margin=0.0):
-        return np.abs(self._t(v)) < 1.0 - margin
+    def contains(self, v):
+        return np.abs(self._t(v)) < 1.0
 
 
 def fenchel_residual(g_spec, v, w):
@@ -414,7 +414,7 @@ def full_prox(spec, lam, z, strain_dim):
     return spec.prox(lam, z)
 
 
-def full_contains(spec, z, strain_dim, margin=0.0):
+def full_contains(spec, z, strain_dim):
     if spec.acts_on == "P":
-        return spec.contains(np.asarray(z)[..., strain_dim:], margin)
-    return spec.contains(z, margin)
+        return spec.contains(np.asarray(z)[..., strain_dim:])
+    return spec.contains(z)

@@ -220,6 +220,11 @@ class AndersonHistory:
         return r - alpha @ self.dY[:m] - alpha @ self.dR[:m]
 
 
+def level_reg(level, reg_weight):
+    """Regularization weight of a level: 1 / level unless reg_weight overrides it."""
+    return 1.0 / level if reg_weight is None else float(reg_weight)
+
+
 def spectral_bound(D, L, reg):
     """Upper bound lambda_max(D) + lambda_max(L) + reg on the spectrum of M_m.
 
@@ -249,8 +254,7 @@ class SteppedProblem:
         self.T = float(T)
         self.time_grid = TimeGrid(T=self.T, level=self.level)
         self.h = self.time_grid.h
-        # the regularization follows the dyadic level unless overridden
-        self.reg = (1.0 / self.level) if reg_weight is None else float(reg_weight)
+        self.reg = level_reg(self.level, reg_weight)
         grid = system.grid
         self.s = grid.strain_dim
         self.vol = grid.volumes

@@ -1,11 +1,12 @@
 """Empirical parametrized-measure diagnostics for level families.
 
 Trajectories computed at several dyadic levels are pooled into one discrete
-probability measure per coarse space-time cell.  The pooling is one sorted
-pass: every atom is labelled by its partition cell, the labels are stably
-sorted once, and the weight sums, first moments, spreads and averaged driving
-forces are segment sums (``np.add.reduceat``) over the sorted atoms.  The
-diagnostics quantify whether the family collapses (spread of the atoms
+probability measure per (time bin, grid cell), the discrete counterpart of
+the Young measure indexed by the points of space-time.  The pooling is one
+sorted pass: every atom is labelled by its partition cell, the labels are
+stably sorted once, and the weight sums, first moments, spreads and averaged
+driving forces are segment sums (``np.add.reduceat``) over the sorted atoms.
+The diagnostics quantify whether the family collapses (spread of the atoms
 shrinks with the level), whether the averaged driving force converges to the
 gradient of the remanent energy at the barycenter, and whether the weak
 solution inequality holds for the empirical measure within tolerance.
@@ -19,38 +20,23 @@ from .errors import AtomOutsideDomain, MismatchedScenario
 from .potentials import full_contains, full_grad
 
 
-@dataclass(frozen=True)
-class ReferencePartition:
-    """Coarse space-time partition used to bin trajectory samples.
-
-    time_edges : increasing array of time bin edges (nt+1,)
-    cell_groups : list of integer arrays, a partition of the grid cells
-    """
-
-    time_edges: np.ndarray
-    cell_groups: tuple
-
-
-def uniform_partition(time_grid, grid, n_time_bins, n_cell_groups=None):
-    """Equal time bins; grid cells split into contiguous groups."""
-    edges = np.linspace(0.0, time_grid.T, n_time_bins + 1)
-    if n_cell_groups is None:
-        n_cell_groups = grid.n_cells
-    groups = tuple(np.array_split(np.arange(grid.n_cells), n_cell_groups))
-    groups = tuple(g for g in groups if len(g))
-    return ReferencePartition(time_edges=edges, cell_groups=groups)
+def uniform_partition(time_grid, n_time_bins):
+    """Edges of n_time_bins equal time bins over [0, T]."""
+    return np.linspace(0.0, time_grid.T, n_time_bins + 1)
 
 
 @dataclass
 class EmpiricalYoungMeasure:
-    """Weighted atoms per (time bin, cell group) of a reference partition.
+    """Weighted atoms per (time bin, grid cell).
 
-    atoms[i][j] is an (n_ij, k) array, weights[i][j] an (n_ij,) probability
+    time_edges is the increasing array of the nt + 1 time bin edges.
+    atoms[i][c] is an (n_ic, k) array, weights[i][c] an (n_ic,) probability
     vector (for built measures, views into one array of sorted atoms and one
-    of weights); first_moment and spread are (nt, ng, k) and (nt, ng).
+    of weights); first_moment and spread are (nt, n_cells, k) and
+    (nt, n_cells).
     """
 
-    partition: ReferencePartition
+    time_edges: np.ndarray
     atoms: list
     weights: list
     first_moment: np.ndarray
@@ -94,20 +80,6 @@ def _pooled_moments(atoms, weights, counts):
     return first, np.sqrt(_segment_sum(weights * dev, counts))
 
 
-def _cell_groups(partition, n_cells):
-    """The cells of the partition's groups in group order, and their groups.
-
-    Raises ValueError unless the groups partition cells 0 .. n_cells - 1,
-    every cell in exactly one group.
-    """
-    groups = partition.cell_groups
-    cells = np.concatenate(groups)
-    if not np.array_equal(np.sort(cells), np.arange(n_cells)):
-        raise ValueError(f"the cell groups do not partition the {n_cells} grid cells: "
-                         "every cell must lie in exactly one group")
-    return cells, np.repeat(np.arange(len(groups)), [len(g) for g in groups])
-
-
 def _time_bins(time_grid, edges):
     """Time bin of each step: the bin of edges that holds the step's midpoint."""
     mids = (np.arange(time_grid.n_steps) + 0.5) * time_grid.h
@@ -121,31 +93,29 @@ def _rows(flat, counts, ng):
     return [segs[i:i + ng] for i in range(0, len(segs), ng)]
 
 
-def build_measure(trajectories, volumes, partition):
+def build_measure(trajectories, volumes, time_edges):
     """Pool piecewise-constant interpolant values of several levels.
 
     Each step of each trajectory contributes one atom per grid cell with
-    weight h * volume; weights are normalized per partition cell.  All
+    weight h * volume; weights are normalized per (time bin, grid cell).  All
     trajectories must share the grid and final time.  Every atom is labelled
-    by its (time bin, cell group) and the labels are stably sorted once, so a
-    partition cell holds its atoms in the order trajectory, step, position in
-    the group; the moments are segment sums over the sorted atoms.
+    by its (time bin, grid cell) and the labels are stably sorted once, so a
+    partition cell holds its atoms in the order trajectory, step; the moments
+    are segment sums over the sorted atoms.
     """
     n_cells, k = _check_family(trajectories)
-    edges = np.asarray(partition.time_edges, dtype=float)
+    edges = np.asarray(time_edges, dtype=float)
     nt = len(edges) - 1
-    ng = len(partition.cell_groups)
-    cells, group = _cell_groups(partition, n_cells)
 
     labels, atoms, wts = [], [], []
     for tr in trajectories:
         bins = _time_bins(tr.time_grid, edges)
-        labels.append((bins[:, None] * ng + group).ravel())
-        atoms.append(tr.z_nodes[1:, cells].reshape(-1, k))
-        wts.append(np.tile(tr.time_grid.h * volumes[cells], len(bins)))
+        labels.append((bins[:, None] * n_cells + np.arange(n_cells)).ravel())
+        atoms.append(tr.z_nodes[1:].reshape(-1, k))
+        wts.append(np.tile(tr.time_grid.h * volumes, len(bins)))
     labels = np.concatenate(labels)
-    counts = np.bincount(labels, minlength=nt * ng)
-    empty = np.flatnonzero(~counts.reshape(nt, ng).any(axis=1))
+    counts = np.bincount(labels, minlength=nt * n_cells)
+    empty = np.flatnonzero(~counts.reshape(nt, n_cells).any(axis=1))
     if len(empty):
         raise ValueError(f"time bin {empty[0]} of the partition holds no step")
     order = np.argsort(labels, kind="stable")
@@ -154,8 +124,8 @@ def build_measure(trajectories, volumes, partition):
     w /= np.repeat(_segment_sum(w, counts), counts)
     first, spread = _pooled_moments(a, w, counts)
     return EmpiricalYoungMeasure(
-        partition=partition, atoms=_rows(a, counts, ng), weights=_rows(w, counts, ng),
-        first_moment=first.reshape(nt, ng, k), spread=spread.reshape(nt, ng),
+        time_edges=edges, atoms=_rows(a, counts, n_cells), weights=_rows(w, counts, n_cells),
+        first_moment=first.reshape(nt, n_cells, k), spread=spread.reshape(nt, n_cells),
     )
 
 
@@ -170,16 +140,14 @@ def measure_at_time(trajectories, volumes, t):
     n_cells, k = _check_family(trajectories)
     hs = np.array([tr.time_grid.h for tr in trajectories])
     wts = hs / hs.sum()
-    groups = tuple(np.array([c]) for c in range(n_cells))
-    part = ReferencePartition(time_edges=np.array([t, t]), cell_groups=groups)
     # (n_cells * n_levels, k): the atoms of cell c are rows c*nl .. (c+1)*nl
     a = np.stack([tr.z_const(t) for tr in trajectories], axis=1).reshape(-1, k)
     w = np.tile(wts, n_cells)
     counts = np.full(n_cells, len(trajectories))
     first, spread = _pooled_moments(a, w, counts)
     return EmpiricalYoungMeasure(
-        partition=part, atoms=_rows(a, counts, n_cells), weights=_rows(w, counts, n_cells),
-        first_moment=first[None], spread=spread[None])
+        time_edges=np.array([t, t]), atoms=_rows(a, counts, n_cells),
+        weights=_rows(w, counts, n_cells), first_moment=first[None], spread=spread[None])
 
 
 def eval_F(measure, f_spec, strain_dim):
@@ -224,9 +192,10 @@ def mvs_residual(traj, problem, f_spec, g_spec, measure=None):
     regularization (it belongs to the discrete flow rule and disappears only
     in the limit), and F is the gradient of the remanent energy at the
     trajectory value unless a pooled measure is supplied, in which case the
-    measure-averaged driving force of its space-time bin is used.  For a certified trajectory the
-    slack equals minus the aggregate of the per-step duality certificates up
-    to the measure-averaging error.
+    measure-averaged driving force of its (time bin, grid cell) is used; a
+    measure on another grid is a MismatchedScenario.  For a certified
+    trajectory the slack equals minus the aggregate of the per-step duality
+    certificates up to the measure-averaging error.
     """
     vol = problem.vol
     h = traj.time_grid.h
@@ -236,11 +205,10 @@ def mvs_residual(traj, problem, f_spec, g_spec, measure=None):
     if measure is None:
         F = full_grad(f_spec, z, s)
     else:
-        part = measure.partition
-        cells, group = _cell_groups(part, z.shape[1])
-        bins = _time_bins(traj.time_grid, np.asarray(part.time_edges, dtype=float))
-        F = np.zeros_like(z)
-        F[:, cells] = eval_F(measure, f_spec, s)[bins[:, None], group]
+        if measure.first_moment.shape[1] != z.shape[1]:
+            raise MismatchedScenario("the measure and the trajectory disagree on the grid")
+        bins = _time_bins(traj.time_grid, np.asarray(measure.time_edges, dtype=float))
+        F = eval_F(measure, f_spec, s)[bins]
     arg = traj.sigma_E - z @ Lm.T - F
     rate = traj.rates
     arg_in = g_spec.project(arg)
@@ -252,12 +220,15 @@ def mvs_residual(traj, problem, f_spec, g_spec, measure=None):
     return MVSResidualReport(lhs=float(np.cumsum(lhs)[-1]), rhs=float(np.cumsum(rhs)[-1]))
 
 
-def convergence_study(results, f_spec, strain_dim, volumes, partition):
+def convergence_study(results, f_spec, strain_dim, volumes, measure):
     """Cross-level collapse diagnostics.
 
     Parameters
     ----------
     results : list of (level, Trajectory) sorted by level.
+    measure : the measure of all the levels of results pooled in level order
+        (:func:`build_measure`); the measures of the other prefixes of the
+        family and of each level alone are built on its time edges.
 
     Returns a dict with per-level spreads (pooling levels up to each entry),
     the deviation of the averaged driving force from grad f at the first
@@ -266,15 +237,22 @@ def convergence_study(results, f_spec, strain_dim, volumes, partition):
     results = sorted(results, key=lambda lr: lr[0])
     levels = [lv for lv, _ in results]
     trajs = [tr for _, tr in results]
+    edges = measure.time_edges
 
-    spreads = []
-    F_dev = []
-    for i in range(1, len(trajs) + 1):
-        mu = build_measure(trajs[:i], volumes, partition)
-        spreads.append(mu.max_spread)
+    def F_deviation(mu):
         F = eval_F(mu, f_spec, strain_dim)
         grad_bar = full_grad(f_spec, mu.first_moment, strain_dim)
-        F_dev.append(float(np.abs(F - grad_bar).max(initial=0.0)))
+        return float(np.abs(F - grad_bar).max(initial=0.0))
+
+    # one measure at a time: each is dropped once its numbers are taken
+    spreads, F_dev = [], []
+    for i in range(1, len(trajs)):
+        mu = build_measure(trajs[:i], volumes, edges)
+        spreads.append(mu.max_spread)
+        F_dev.append(F_deviation(mu))
+        del mu
+    spreads.append(measure.max_spread)
+    F_dev.append(F_deviation(measure))
 
     final_diffs = []
     for i in range(1, len(trajs)):
@@ -282,11 +260,10 @@ def convergence_study(results, f_spec, strain_dim, volumes, partition):
         w = volumes / volumes.sum()
         final_diffs.append(float(np.sqrt(np.sum(w[:, None] * (za - zb) ** 2))))
 
-    # spread of each level alone (collapse monotonicity check)
-    solo_spreads = []
-    for tr in trajs:
-        mu = build_measure([tr], volumes, partition)
-        solo_spreads.append(mu.max_spread)
+    # spread of each level alone (collapse monotonicity check); the first
+    # level alone is the first prefix
+    solo_spreads = spreads[:1] + [build_measure([tr], volumes, edges).max_spread
+                                  for tr in trajs[1:]]
 
     return {
         "levels": levels,

@@ -486,22 +486,27 @@ def test_non_finite_matrix_exit_three(tmp_path, capsys, key, old, values):
     assert "non-finite" in err and len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("elastic,hardening,message", [
-    ("2.0", "1e308 1e308 1e308 1e308",
+_BOUND_OVERFLOWS = "ValidationError: the spectral bound lambda_max(D) + lambda_max(L) + reg = "
+
+
+@pytest.mark.parametrize("elastic,hardening,options,message", [
+    ("2.0", "1e308 1e308 1e308 1e308", "",
      "ValidationError: [tensors] L_hard is not positive semidefinite "
      "(non-finite entry or eigenvalue)"),
-    ("1e307", "1.7e308",
-     "ValidationError: the spectral bound lambda_max(D) + lambda_max(L) + reg = "),
-], ids=["L_1e308_full", "C_1e307_L_1.7e308"])
+    ("1e307", "1.7e308", "", _BOUND_OVERFLOWS),
+    ("2.0", "1e307", "[options]\nreg_weight = 1.7e308\n",
+     _BOUND_OVERFLOWS + "2.425391e+00 + 1.000000e+307 + 1.700000e+308 overflows\n"),
+], ids=["L_1e308_full", "C_1e307_L_1.7e308", "L_1e307_reg_1.7e308"])
 def test_overflowing_spectral_bound_exit_three(tmp_path, capsys, elastic, hardening,
-                                               message):
+                                               options, message):
     """A hardening map whose eigenvalue, or a spectral bound whose sum,
     overflows is one line and exit 3 from run and from check, not a
     traceback.  check takes reg at the coarsest level it can run,
-    1 / min(level, levels[0]) = 1/3."""
+    1 / min(level, levels[0]) = 1/3, unless reg_weight sets it for every
+    level; then run and check print the same line."""
     text = (REFERENCE.replace("cells = 16", "cells = 4")
             .replace("elastic = 2.0", f"elastic = {elastic}")
-            .replace("hardening = 0.2", f"hardening = {hardening}"))
+            .replace("hardening = 0.2", f"hardening = {hardening}")) + options
     scn = _write(tmp_path, "huge.cfg", text)
     proc = subprocess.run(
         [sys.executable, "-m", "ferrosolve.cli", "run", scn, "--out", str(tmp_path / "o")],
@@ -512,8 +517,10 @@ def test_overflowing_spectral_bound_exit_three(tmp_path, capsys, elastic, harden
     assert main(["check", scn]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(message) and len(err.splitlines()) == 1
-    if "spectral" in message:
+    if message == _BOUND_OVERFLOWS:
         assert err.endswith(" + 3.333333e-01 overflows\n")
+    if options:
+        assert proc.stderr == err == message
 
 
 _FAMILY_KEYS = [

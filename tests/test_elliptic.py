@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ferrosolve import AssembledSystem, Grid, make_tensors, pack_sym
+from ferrosolve import AssembledSystem, Grid, make_tensors
 
 
 def _nodal_gradient(grid, nodal):
@@ -17,9 +17,15 @@ def _nodal_gradient(grid, nodal):
 
 
 def _strain(grid, u):
-    """Packed symmetric gradient of the nodal displacement u, cell by cell."""
+    """Packed symmetric gradient of the nodal displacement u, cell by cell:
+    the Mandel order is the diagonal, then the upper triangle row by row,
+    with the off-diagonal entries times sqrt 2."""
     g = _nodal_gradient(grid, u)
-    return pack_sym(0.5 * (g + np.swapaxes(g, 1, 2)))
+    eps = 0.5 * (g + np.swapaxes(g, -1, -2))
+    d = eps.shape[-1]
+    upper = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    return np.concatenate([eps[..., range(d), range(d)]]
+                          + [np.sqrt(2.0) * eps[..., i, j, None] for i, j in upper], axis=-1)
 
 
 def _node_measures(grid):

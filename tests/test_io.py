@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ferrosolve import (EmpiricalYoungMeasure, EnergyLedger, FieldState, Grid,
-                        ReferencePartition, StepCertificate, TimeGrid)
+                        StepCertificate, TimeGrid)
 from ferrosolve.io import (_CHUNK, _write_values, write_certificates_csv,
                            write_energy_csv, write_measure_csv, write_mvs_csv,
                            write_snapshot, write_study_csv, write_trajectory_csv)
@@ -193,12 +193,11 @@ def test_mvs_rows_match_per_value_format(tmp_path):
 def test_measure_rows_match_per_value_format(tmp_path):
     rng = np.random.default_rng(4)
     k = 5
-    counts = [[3, 1], [0, 12]]           # a single-atom group and an empty one
+    counts = [[3, 1], [0, 12]]           # 2 time bins x 2 cells: one atom, none
     atoms = [[_special_values(rng, (c, k)) for c in row] for row in counts]
     weights = [[_special_values(rng, c) for c in row] for row in counts]
-    part = ReferencePartition(np.array([0.0, 0.5, 1.0]), (np.array([0]), np.array([1])))
-    measure = EmpiricalYoungMeasure(part, atoms, weights, np.zeros((2, 2, k)),
-                                    np.zeros((2, 2)))
+    measure = EmpiricalYoungMeasure(np.array([0.0, 0.5, 1.0]), atoms, weights,
+                                    np.zeros((2, 2, k)), np.zeros((2, 2)))
     path = tmp_path / "m.csv"
     write_measure_csv(path, measure)
     expected = [",".join([str(i), str(j), str(a), _g(weights[i][j][a])]

@@ -2,12 +2,13 @@
 
 An AST scan over ``src/ferrosolve``, ``demos/`` and the ``perfbench/*.py``
 modules.  The module-level code of all of them, and every function of
-``demos`` and ``perfbench``, is reached; so is each name of the package's
-``__all__`` and each name that ``perfbench/tracing.py`` wraps by its
-string.  A library function or method is reached when its name is used (as
-a name or an attribute) by reached code, and its body is reached code from
-then on, until nothing changes.  A library function that only tests call
-belongs in the tests, as an oracle independent of the code it checks.
+``demos`` and ``perfbench``, is reached; so is each name that
+``perfbench/tracing.py`` wraps by its string.  A name in the package's
+``__all__`` is not reached by being listed there.  A library function or
+method is reached when its name is used (as a name or an attribute) by
+reached code, and its body is reached code from then on, until nothing
+changes.  A library function that only tests call belongs in the tests, as
+an oracle independent of the code it checks.
 """
 
 import ast
@@ -62,9 +63,6 @@ def unreached():
             functions[f"{path.stem}:{qual}"] = node
         inside = {id(sub) for node in defs.values() for sub in ast.walk(node)}
         reached |= _uses(sub for sub in ast.walk(tree) if id(sub) not in inside)
-        reached |= {name for node in tree.body if isinstance(node, ast.Assign)
-                    and any(_name(t) == "__all__" for t in node.targets)
-                    for name in _strings(node.value)}
     for path in sorted([*(ROOT / "demos").glob("*.py"),
                         *(ROOT / "perfbench").glob("*.py")]):
         tree = ast.parse(path.read_text(), str(path))

@@ -44,9 +44,8 @@ def _fd_grad(fn, x, h=1e-6):
 def test_grad_matches_central_differences(spec, dim):
     rng = np.random.default_rng(42)
     for _ in range(50):
+        # inside every domain: |x| <= sqrt(3) / 2 < P_s = 2
         x = rng.uniform(-0.5, 0.5, dim)
-        if not np.atleast_1d(spec.contains(x, margin=1e-3)).all():
-            continue
         g = spec.grad(x)
         g_fd = _fd_grad(lambda v: float(spec.value(v)), x)
         assert np.allclose(g, g_fd, rtol=1e-6, atol=1e-7)
@@ -60,7 +59,7 @@ def test_log_saturation_gradients_many_interior_points():
     n_ok = 0
     while n_ok < 1000:
         x = rng.uniform(-1.2, 1.2, 2)
-        if not (radial.contains(x, margin=0.05) and direct.contains(x, margin=0.05)):
+        if not (np.hypot(*x) < 0.95 * 1.5 and abs(x @ [0.6, -0.8]) < 0.95 * 1.5):
             continue
         n_ok += 1
         for spec in (radial, direct):

@@ -4,9 +4,29 @@ import numpy as np
 import pytest
 
 from ferrosolve import (NonPositiveDefinite, Quadratic, assemble_block_A,
-                        assemble_block_D, isotropic_stiffness, make_tensors,
-                        pack_sym, unpack_sym)
+                        assemble_block_D, isotropic_stiffness, make_tensors)
 from ferrosolve.tensors import constitutive_stress_field
+
+
+def _pairs(d):
+    """Mandel order: the diagonal, then the upper triangle row by row."""
+    return [(i, i) for i in range(d)] + [(i, j) for i in range(d) for j in range(i + 1, d)]
+
+
+def pack_sym(mat):
+    """Mandel vector of a symmetric d x d matrix: off-diagonals times sqrt 2."""
+    mat = np.asarray(mat, dtype=float)
+    return np.array([mat[i, j] * (1.0 if i == j else np.sqrt(2.0))
+                     for i, j in _pairs(len(mat))])
+
+
+def unpack_sym(vec):
+    """The symmetric matrix of a Mandel vector."""
+    d = {1: 1, 3: 2, 6: 3}[len(vec)]
+    out = np.zeros((d, d))
+    for (i, j), v in zip(_pairs(d), vec):
+        out[i, j] = out[j, i] = v if i == j else v / np.sqrt(2.0)
+    return out
 
 
 def test_packing_preserves_frobenius_inner_product():

@@ -1,7 +1,5 @@
 """Empirical measure pooling, averaged driving force, weak-inequality residual."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -10,9 +8,9 @@ from ferrosolve import (AssembledSystem, AtomOutsideDomain, BallIndicator, Grid,
                         PowerLaw, Quadratic, SteppedProblem, average_loads,
                         build_measure, convergence_study, eval_F,
                         make_tensors, measure_at_time, mvs_residual,
-                        uniform_partition)
+                        uniform_partition, young)
 from ferrosolve.potentials import full_contains, full_grad
-from ferrosolve.young import ReferencePartition
+from ferrosolve.young import EmpiricalYoungMeasure
 
 
 def _run(level, grid, sys_, f, g, sched, step_tol=1e-10):
@@ -38,8 +36,8 @@ def smooth_family():
 def test_measure_normalization_and_first_moment(smooth_family):
     grid, sys_, f, g, runs = smooth_family
     trajs = [runs[lv][1] for lv in (3, 4, 5)]
-    part = uniform_partition(runs[3][0].time_grid, grid, n_time_bins=4)
-    mu = build_measure(trajs, grid.volumes, part)
+    edges = uniform_partition(runs[3][0].time_grid, n_time_bins=4)
+    mu = build_measure(trajs, grid.volumes, edges)
     for row in mu.weights:
         for w in row:
             assert abs(w.sum() - 1.0) <= 1e-12
@@ -53,24 +51,22 @@ def test_measure_normalization_and_first_moment(smooth_family):
 
 
 def test_single_level_identical_cells_is_dirac():
-    """All pooled samples equal -> one effective atom, zero spread."""
+    """All pooled samples equal -> one effective atom per (time bin, cell),
+    zero spread."""
     grid = Grid(1, 4)
     t = make_tensors(1, 1.0, 1.0, coupling=0.2, hardening=0.1)
     sys_ = AssembledSystem(grid, t)
     prob = SteppedProblem(sys_, Quadratic(np.eye(2)), PowerLaw(1.0, 2.0), 2, T=1.0)
     zhat = np.zeros((prob.time_grid.n_steps, grid.n_cells, 2))
     traj, _ = prob.run(np.full((grid.n_cells, 2), 0.0), zhat)
-    part = uniform_partition(prob.time_grid, grid, n_time_bins=2, n_cell_groups=1)
-    mu = build_measure([traj], grid.volumes, part)
+    edges = uniform_partition(prob.time_grid, n_time_bins=2)
+    mu = build_measure([traj], grid.volumes, edges)
     assert mu.max_spread == 0.0
     F = eval_F(mu, Quadratic(np.eye(2)), 1)
     assert np.abs(F).max() == 0.0
 
 
 def test_two_atom_equal_volume_weights():
-    part = ReferencePartition(time_edges=np.array([0.0, 1.0]),
-                              cell_groups=(np.array([0]),))
-
     class _T:
         pass
 
@@ -83,7 +79,7 @@ def test_two_atom_equal_volume_weights():
 
     t1 = fake_traj([1.0, 1.0])
     t2 = fake_traj([2.0, 2.0])
-    mu = build_measure([t1, t2], np.array([1.0]), part)
+    mu = build_measure([t1, t2], np.array([1.0]), np.array([0.0, 1.0]))
     # equal pooled volume: weights 1/2 on z1 atoms and 1/2 on z2 atoms
     w = mu.weights[0][0]
     a = mu.atoms[0][0]
@@ -96,12 +92,9 @@ def test_two_atom_equal_volume_weights():
 
 def test_eval_F_two_atoms_finite_difference_oracle():
     spec = LogSaturationRadial(1.5)
-    part = ReferencePartition(time_edges=np.array([0.0, 1.0]),
-                              cell_groups=(np.array([0]),))
     atoms = np.array([[0.0, 0.3], [0.0, -0.6]])   # (r, P), strain_dim = 1
-    from ferrosolve.young import EmpiricalYoungMeasure
     mu = EmpiricalYoungMeasure(
-        partition=part, atoms=[[atoms]], weights=[[np.array([0.3, 0.7])]],
+        time_edges=np.array([0.0, 1.0]), atoms=[[atoms]], weights=[[np.array([0.3, 0.7])]],
         first_moment=(np.array([0.3, 0.7]) @ atoms)[None, None, :],
         spread=np.zeros((1, 1)))
     F = eval_F(mu, spec, 1)
@@ -118,12 +111,9 @@ def test_eval_F_two_atoms_finite_difference_oracle():
 
 def test_eval_F_atom_outside_domain():
     spec = LogSaturationRadial(0.5)
-    part = ReferencePartition(time_edges=np.array([0.0, 1.0]),
-                              cell_groups=(np.array([0]),))
-    from ferrosolve.young import EmpiricalYoungMeasure
     atoms = np.array([[0.0, 0.9]])
     mu = EmpiricalYoungMeasure(
-        partition=part, atoms=[[atoms]], weights=[[np.array([1.0])]],
+        time_edges=np.array([0.0, 1.0]), atoms=[[atoms]], weights=[[np.array([1.0])]],
         first_moment=atoms[None, :], spread=np.zeros((1, 1)))
     with pytest.raises(AtomOutsideDomain):
         eval_F(mu, spec, 1)
@@ -144,7 +134,7 @@ def test_jensen_direction_two_atom_measures():
 
 def test_mismatched_trajectories_rejected(smooth_family):
     grid, sys_, f, g, runs = smooth_family
-    part = uniform_partition(runs[3][0].time_grid, grid, n_time_bins=2)
+    edges = uniform_partition(runs[3][0].time_grid, n_time_bins=2)
     other = Grid(1, 4)
     t2 = make_tensors(1, 1.0, 1.0)
     sys2 = AssembledSystem(other, t2)
@@ -152,7 +142,7 @@ def test_mismatched_trajectories_rejected(smooth_family):
     traj2, _ = prob2.run(np.zeros((other.n_cells, 2)),
                          np.zeros((8, other.n_cells, 2)))
     with pytest.raises(MismatchedScenario):
-        build_measure([runs[3][1], traj2], grid.volumes, part)
+        build_measure([runs[3][1], traj2], grid.volumes, edges)
 
 
 def test_mvs_residual_certified_trajectory(smooth_family):
@@ -167,10 +157,10 @@ def test_mvs_residual_certified_trajectory(smooth_family):
 @pytest.mark.parametrize("g", [PowerLaw(1.0, 2.0), PowerLaw(1.0, 3.0), BallIndicator(0.05)],
                          ids=["power_p2", "power_p3", "ball"])
 def test_mvs_residual_with_one_atom_per_cell_measure(g):
-    """With one time bin per step and one group per cell, every partition
-    cell holds one atom of weight 1, so the measure's driving force is
-    grad f at the trajectory value and both sides equal those without a
-    measure exactly; a coarse partition averages F and moves the slack."""
+    """With one time bin per step, every (time bin, cell) holds one atom of
+    weight 1, so the measure's driving force is grad f at the trajectory
+    value and both sides equal those without a measure exactly; coarse time
+    bins average F and move the slack."""
     grid = Grid(1, 6)
     t = make_tensors(1, 1.0, 1.0, coupling=0.3, hardening=0.4)
     sys_ = AssembledSystem(grid, t)
@@ -178,12 +168,12 @@ def test_mvs_residual_with_one_atom_per_cell_measure(g):
     sched = LoadSchedule([0.0, 1.0], [[0.0], [0.8]], [0.0, 0.6])
     prob, traj = _run(3, grid, sys_, f, g, sched, step_tol=1e-9)
     plain = mvs_residual(traj, prob, f, g)
-    fine = uniform_partition(prob.time_grid, grid, n_time_bins=prob.time_grid.n_steps)
+    fine = uniform_partition(prob.time_grid, n_time_bins=prob.time_grid.n_steps)
     mu = build_measure([traj], grid.volumes, fine)
     assert all(len(w) == 1 for row in mu.weights for w in row)
     rep = mvs_residual(traj, prob, f, g, measure=mu)
     assert (rep.lhs, rep.rhs) == (plain.lhs, plain.rhs)
-    coarse = uniform_partition(prob.time_grid, grid, n_time_bins=4, n_cell_groups=2)
+    coarse = uniform_partition(prob.time_grid, n_time_bins=4)
     rep = mvs_residual(traj, prob, f, g, measure=build_measure([traj], grid.volumes, coarse))
     assert rep.slack != plain.slack
 
@@ -243,8 +233,9 @@ def test_mvs_residual_scaling_with_horizon():
 def test_convergence_study_smooth_regime(smooth_family):
     grid, sys_, f, g, runs = smooth_family
     results = [(lv, runs[lv][1]) for lv in (3, 4, 5)]
-    part = uniform_partition(runs[3][0].time_grid, grid, n_time_bins=4)
-    study = convergence_study(results, f, 1, grid.volumes, part)
+    edges = uniform_partition(runs[3][0].time_grid, n_time_bins=4)
+    mu = build_measure([tr for _, tr in results], grid.volumes, edges)
+    study = convergence_study(results, f, 1, grid.volumes, mu)
     diffs = study["final_state_diffs"]
     # successive level differences shrink by roughly a factor of two
     assert diffs[1] < diffs[0]
@@ -268,8 +259,9 @@ def test_zero_scenario_study_all_zero():
                            np.zeros((2 ** lv, grid.n_cells, 2)))
         results.append((lv, traj))
         probs[lv] = prob
-    part = uniform_partition(probs[2].time_grid, grid, n_time_bins=2)
-    study = convergence_study(results, f, 1, grid.volumes, part)
+    edges = uniform_partition(probs[2].time_grid, n_time_bins=2)
+    mu = build_measure([tr for _, tr in results], grid.volumes, edges)
+    study = convergence_study(results, f, 1, grid.volumes, mu)
     assert max(study["final_state_diffs"]) == 0.0
     assert max(study["pooled_spreads"]) == 0.0
 
@@ -279,36 +271,35 @@ def test_zero_scenario_study_all_zero():
 # that pooled the measures before, kept here verbatim in substance.
 
 
-def _oracle_build(trajectories, volumes, partition):
-    edges = np.asarray(partition.time_edges, dtype=float)
+def _oracle_build(trajectories, volumes, time_edges):
+    edges = np.asarray(time_edges, dtype=float)
     nt = len(edges) - 1
-    ng = len(partition.cell_groups)
-    k = trajectories[0].z_nodes.shape[2]
-    atoms = [[[] for _ in range(ng)] for _ in range(nt)]
-    wts = [[[] for _ in range(ng)] for _ in range(nt)]
+    n_cells, k = trajectories[0].z_nodes.shape[1:]
+    atoms = [[[] for _ in range(n_cells)] for _ in range(nt)]
+    wts = [[[] for _ in range(n_cells)] for _ in range(nt)]
     for tr in trajectories:
         h = tr.time_grid.h
         mids = (np.arange(tr.time_grid.n_steps) + 0.5) * h
         bins = np.clip(np.searchsorted(edges, mids, side="right") - 1, 0, nt - 1)
         for n, i in enumerate(bins):
             zn = tr.z_nodes[n + 1]
-            for j, group in enumerate(partition.cell_groups):
-                atoms[i][j].append(zn[group])
-                wts[i][j].append(h * volumes[group])
+            for c in range(n_cells):
+                atoms[i][c].append(zn[c])
+                wts[i][c].append(h * volumes[c])
     out_atoms, out_w = [], []
-    first = np.zeros((nt, ng, k))
-    spread = np.zeros((nt, ng))
+    first = np.zeros((nt, n_cells, k))
+    spread = np.zeros((nt, n_cells))
     for i in range(nt):
         row_a, row_w = [], []
-        for j in range(ng):
-            a = np.concatenate(atoms[i][j], axis=0)
-            w = np.concatenate(wts[i][j])
+        for c in range(n_cells):
+            a = np.array(atoms[i][c])
+            w = np.array(wts[i][c])
             w = w / w.sum()
             row_a.append(a)
             row_w.append(w)
             bar = w @ a
-            first[i, j] = bar
-            spread[i, j] = np.sqrt(w @ np.sum((a - bar) ** 2, axis=-1))
+            first[i, c] = bar
+            spread[i, c] = np.sqrt(w @ np.sum((a - bar) ** 2, axis=-1))
         out_atoms.append(row_a)
         out_w.append(row_w)
     return out_atoms, out_w, first, spread
@@ -362,16 +353,13 @@ def _assert_same_measure(mu, atoms, weights, first, spread):
     _assert_ulps(mu.spread, spread, spread)
 
 
-def _partitions(time_grid, grid):
-    """Uneven cell groups; level-3 step midpoints (odd multiples of 1/16)
-    on bin edges; a hand-made partition with scattered groups."""
+def _partitions(time_grid):
+    """Time edges: level-3 step midpoints (odd multiples of 1/16) on bin
+    edges; four equal bins; uneven hand-made bins."""
     return [
-        uniform_partition(time_grid, grid, n_time_bins=16, n_cell_groups=3),
-        uniform_partition(time_grid, grid, n_time_bins=4, n_cell_groups=5),
-        ReferencePartition(
-            time_edges=np.array([0.0, 3.0 / 16.0, 0.5, 13.0 / 16.0, 1.0]),
-            cell_groups=(np.array([5, 0, 2]), np.array([7, 1]),
-                         np.array([3, 4, 6]))),
+        uniform_partition(time_grid, n_time_bins=16),
+        uniform_partition(time_grid, n_time_bins=4),
+        np.array([0.0, 3.0 / 16.0, 0.5, 13.0 / 16.0, 1.0]),
     ]
 
 
@@ -383,10 +371,10 @@ def test_build_measure_matches_per_bin_oracle(smooth_family):
     grid, sys_, f, g, runs = smooth_family
     trajs = [runs[lv][1] for lv in (3, 4, 5)]
     vols = _uneven_volumes(grid)
-    for part in _partitions(runs[3][0].time_grid, grid):
+    for edges in _partitions(runs[3][0].time_grid):
         for subset in (trajs, trajs[1:], trajs[2:]):
-            mu = build_measure(subset, vols, part)
-            _assert_same_measure(mu, *_oracle_build(subset, vols, part))
+            mu = build_measure(subset, vols, edges)
+            _assert_same_measure(mu, *_oracle_build(subset, vols, edges))
 
 
 def test_eval_F_matches_per_bin_oracle(smooth_family):
@@ -395,8 +383,8 @@ def test_eval_F_matches_per_bin_oracle(smooth_family):
     P_max = max(np.abs(tr.z_nodes[..., 1]).max() for tr in trajs)
     specs = [Quadratic(np.array([[2.0, 0.3], [0.3, 0.5]])),
              LogSaturationRadial(1.5 * P_max)]
-    for part in _partitions(runs[3][0].time_grid, grid):
-        mu = build_measure(trajs, _uneven_volumes(grid), part)
+    for edges in _partitions(runs[3][0].time_grid):
+        mu = build_measure(trajs, _uneven_volumes(grid), edges)
         for spec in specs:
             F = eval_F(mu, spec, 1)
             want = _oracle_eval_F(mu.atoms, mu.weights, spec, 1)
@@ -409,8 +397,8 @@ def test_eval_F_matches_per_bin_oracle(smooth_family):
 def test_eval_F_names_first_bin_outside_domain(smooth_family):
     grid, sys_, f, g, runs = smooth_family
     trajs = [runs[lv][1] for lv in (3, 4, 5)]
-    part = _partitions(runs[3][0].time_grid, grid)[0]
-    mu = build_measure(trajs, grid.volumes, part)
+    edges = _partitions(runs[3][0].time_grid)[0]
+    mu = build_measure(trajs, grid.volumes, edges)
     P_max = max(np.abs(tr.z_nodes[..., 1]).max() for tr in trajs)
     spec = LogSaturationRadial(1.5 * P_max)
     late = len(mu.atoms) - 1
@@ -434,13 +422,13 @@ def test_measure_at_time_matches_per_cell_oracle(smooth_family):
 
 def test_build_measure_rejects_empty_time_bin(smooth_family):
     grid, sys_, f, g, runs = smooth_family
-    part = uniform_partition(runs[3][0].time_grid, grid, n_time_bins=16)
+    edges = uniform_partition(runs[3][0].time_grid, n_time_bins=16)
     with pytest.raises(ValueError, match="time bin 0 "):
-        build_measure([runs[3][1]], grid.volumes, part)
+        build_measure([runs[3][1]], grid.volumes, edges)
 
 
 # Independent oracle for the weak-inequality residual: the per-step loop that
-# evaluated it before, with its own step -> time-bin lookup and a per-group
+# evaluated it before, with its own step -> time-bin lookup and a per-cell
 # fill of the measure's driving force.
 
 
@@ -451,7 +439,7 @@ def _oracle_mvs(traj, problem, f_spec, g_spec, measure=None):
     Lm = problem.L + problem.reg * np.eye(problem.L.shape[0])
     if measure is not None:
         F_bins = eval_F(measure, f_spec, s)
-        edges = np.asarray(measure.partition.time_edges, dtype=float)
+        edges = np.asarray(measure.time_edges, dtype=float)
     lhs = rhs = 0.0
     for n in range(traj.time_grid.n_steps):
         z = traj.z_nodes[n + 1]
@@ -461,8 +449,8 @@ def _oracle_mvs(traj, problem, f_spec, g_spec, measure=None):
             i = int(np.clip(np.searchsorted(edges, (n + 0.5) * h, side="right") - 1,
                             0, F_bins.shape[0] - 1))
             F = np.empty_like(z)
-            for j, group in enumerate(measure.partition.cell_groups):
-                F[group] = F_bins[i, j]
+            for c in range(len(z)):
+                F[c] = F_bins[i, c]
         arg = traj.sigma_E[n] - z @ Lm.T - F
         rate = (traj.z_nodes[n + 1] - traj.z_nodes[n]) / h
         arg_in = g_spec.project(arg)
@@ -478,7 +466,7 @@ def _oracle_mvs(traj, problem, f_spec, g_spec, measure=None):
                          ids=["power_p2", "power_p3", "ball"])
 def test_mvs_residual_matches_per_step_oracle(dim, g):
     """Exact agreement at levels 3 and 5, without a measure and with the
-    measure of both levels on each uneven-group partition, on 8 cells in 1-D
+    measure of both levels on each time partition, on 8 cells in 1-D
     and in 2-D."""
     grid = Grid(dim, 8 if dim == 1 else 2)
     if dim == 1:
@@ -494,27 +482,89 @@ def test_mvs_residual_matches_per_step_oracle(dim, g):
     sys_ = AssembledSystem(grid, t)
     f = LogSaturationRadial(1.0)
     runs = [_run(lv, grid, sys_, f, g, sched, step_tol=1e-9) for lv in (3, 5)]
-    measures = [None] + [build_measure([tr for _, tr in runs], _uneven_volumes(grid), part)
-                         for part in _partitions(runs[0][0].time_grid, grid)]
+    measures = [None] + [build_measure([tr for _, tr in runs], _uneven_volumes(grid), edges)
+                         for edges in _partitions(runs[0][0].time_grid)]
     for prob, traj in runs:
         for mu in measures:
             rep = mvs_residual(traj, prob, f, g, measure=mu)
             assert (rep.lhs, rep.rhs) == _oracle_mvs(traj, prob, f, g, measure=mu)
 
 
-@pytest.mark.parametrize("groups", [(np.array([0, 1]),),
-                                    (np.arange(5), np.arange(4, 8))],
-                         ids=["cover_0_1_of_8", "overlapping"])
-def test_non_partition_of_cells_rejected(smooth_family, groups):
-    """Cell groups that miss a cell or hold one twice are rejected by both the
-    pooling and the weak-inequality residual, which would otherwise read
-    driving forces that no group supplies."""
+def test_mvs_residual_rejects_measure_of_another_grid(smooth_family):
+    """A measure pooled on another grid supplies no driving force for some
+    cells of the trajectory, so the residual refuses it, as the pooling
+    refuses trajectories of different grids."""
     grid, sys_, f, g, runs = smooth_family
     prob, traj = runs[3]
-    bad = ReferencePartition(time_edges=np.array([0.0, 0.5, 1.0]), cell_groups=groups)
-    with pytest.raises(ValueError, match="do not partition the 8 grid cells"):
-        build_measure([traj], grid.volumes, bad)
-    good = uniform_partition(prob.time_grid, grid, n_time_bins=2, n_cell_groups=2)
-    mu = dataclasses.replace(build_measure([traj], grid.volumes, good), partition=bad)
-    with pytest.raises(ValueError, match="do not partition the 8 grid cells"):
+    other = Grid(1, 4)
+    prob2 = SteppedProblem(AssembledSystem(other, make_tensors(1, 1.0, 1.0)),
+                           Quadratic(np.eye(2)), PowerLaw(1.0, 2.0), 3, T=1.0)
+    traj2, _ = prob2.run(np.zeros((other.n_cells, 2)), np.zeros((8, other.n_cells, 2)))
+    mu = build_measure([traj2], other.volumes,
+                       uniform_partition(prob2.time_grid, n_time_bins=2))
+    with pytest.raises(MismatchedScenario):
         mvs_residual(traj, prob, f, g, measure=mu)
+
+
+# Independent oracle for the study: the loop that built every prefix measure
+# and every single-level measure separately.
+
+
+def _oracle_study(results, f_spec, strain_dim, volumes, time_edges):
+    results = sorted(results, key=lambda lr: lr[0])
+    trajs = [tr for _, tr in results]
+    spreads, F_dev = [], []
+    for i in range(1, len(trajs) + 1):
+        mu = build_measure(trajs[:i], volumes, time_edges)
+        spreads.append(mu.max_spread)
+        F = eval_F(mu, f_spec, strain_dim)
+        grad_bar = full_grad(f_spec, mu.first_moment, strain_dim)
+        F_dev.append(float(np.abs(F - grad_bar).max(initial=0.0)))
+    w = volumes / volumes.sum()
+    final_diffs = [float(np.sqrt(np.sum(w[:, None] * (za.z_nodes[-1] - zb.z_nodes[-1]) ** 2)))
+                   for za, zb in zip(trajs, trajs[1:])]
+    solo = [build_measure([tr], volumes, time_edges).max_spread for tr in trajs]
+    return {"levels": [lv for lv, _ in results], "pooled_spreads": spreads,
+            "solo_spreads": solo, "F_deviation": F_dev, "final_state_diffs": final_diffs}
+
+
+_STUDY_LEVELS = [(3,), (3, 4), (3, 4, 5)]
+
+
+@pytest.mark.parametrize("levels", _STUDY_LEVELS, ids=["1_level", "2_levels", "3_levels"])
+@pytest.mark.parametrize("uneven", [False, True], ids=["4_bins", "uneven_bins"])
+def test_convergence_study_matches_per_prefix_oracle(smooth_family, levels, uneven):
+    """Given the pooled measure, the study equals the loop that builds every
+    prefix and every level alone, on a non-quadratic f whose averaged
+    driving force differs from grad f at the first moment."""
+    grid, sys_, f, g, runs = smooth_family
+    results = [(lv, runs[lv][1]) for lv in levels]
+    P_max = max(np.abs(tr.z_nodes[..., 1]).max() for _, tr in results)
+    spec = LogSaturationRadial(1.5 * P_max)
+    vols = _uneven_volumes(grid)
+    edges = _partitions(runs[3][0].time_grid)[2 if uneven else 1]
+    mu = build_measure([tr for _, tr in results], vols, edges)
+    study = convergence_study(results[::-1], spec, 1, vols, mu)
+    assert study == _oracle_study(results, spec, 1, vols, edges)
+    assert max(study["F_deviation"]) > 0.0
+
+
+@pytest.mark.parametrize("levels", _STUDY_LEVELS, ids=["1_level", "2_levels", "3_levels"])
+def test_convergence_study_builds_each_measure_once(smooth_family, monkeypatch, levels):
+    """The pooled measure is given and the first level alone is the first
+    prefix, so n levels take n - 1 prefix and n - 1 single-level builds."""
+    grid, sys_, f, g, runs = smooth_family
+    results = [(lv, runs[lv][1]) for lv in levels]
+    edges = uniform_partition(runs[3][0].time_grid, n_time_bins=4)
+    mu = build_measure([tr for _, tr in results], grid.volumes, edges)
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return build_measure(*args)
+
+    monkeypatch.setattr(young, "build_measure", counted)
+    convergence_study(results, f, 1, grid.volumes, mu)
+    n = len(levels)
+    assert len(calls) == 2 * (n - 1)
+    assert sorted(calls) == sorted(list(range(1, n)) + [1] * (n - 1))
