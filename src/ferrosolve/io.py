@@ -30,15 +30,21 @@ holds every character some layout needs, in order; one gather from a table
 of byte masks keyed by sign, layout and number of significant digits keeps
 the characters of the value's layout and zeroes the rest.
 
-Rows are NUL-padded byte blocks (per-step prefixes and suffixes, indices,
-formatted values) placed side by side; deleting the NUL bytes leaves the
-text.
+Integer columns (level, step, cell, iterations, ...) are formatted as
+doubles too: below 2**53 an integral double's ``'%.17g'`` text is its decimal
+digits.  Rows are NUL-padded byte blocks placed side by side; deleting the NUL
+bytes leaves the text.  A block that rows gather from (a step's labels and
+certificate, the texts of the cell, time-bin and atom indices) is compacted
+when it is built, its NUL bytes moved behind the text and its rows cut to the
+widest, so the rows that gather it stay narrow.
 """
 
 import functools
 import os
 
 import numpy as np
+
+from .packing import sym_dim
 
 FORMAT_VERSION = 1
 
@@ -186,16 +192,12 @@ def _floats(x, seps):
     return out.reshape(rows, width * _CELL)
 
 
-def _ints(v, sep):
-    """NUL-padded decimal text of the non-negative integers v, each followed
-    by the character sep: (len(v), width) bytes."""
-    v = np.asarray(v, dtype=np.int64)[:, None]
-    scale = 10 ** np.arange(len(str(v.max(initial=0))) - 1, -1, -1)
-    text = np.empty((len(v), len(scale) + 1), dtype=np.uint8)
-    text[:, :-1] = np.where(v >= scale, v // scale % 10 + ord("0"), 0)
-    text[:, -2] = v[:, 0] % 10 + ord("0")       # the units digit, also of 0
-    text[:, -1] = ord(sep)
-    return text
+def _compact(block):
+    """The rows of a NUL-padded byte block with their NUL bytes moved behind
+    the text, cut to the widest row."""
+    order = np.argsort(block == 0, axis=1, kind="stable")
+    width = int(np.count_nonzero(block, axis=1).max(initial=0))
+    return np.take_along_axis(block, order[:, :width], axis=1)
 
 
 def _write_rows(fh, n, per_row, parts):
@@ -222,12 +224,20 @@ def _open(path, header):
     return fh
 
 
+def _write_table(path, header, columns):
+    """A CSV file: the header text, the column names and one row per row of
+    the columns, a dict of name to equally long column."""
+    values = np.column_stack(list(columns.values()))
+    with _open(path, header + ",".join(columns) + "\n") as fh:
+        _write_values(fh, values, "," * (values.shape[1] - 1) + "\n")
+
+
 def _component_names(prefix, n):
     return [f"{prefix}{i}" for i in range(n)]
 
 
 def trajectory_columns(dim):
-    s = dim * (dim + 1) // 2
+    s = sym_dim(dim)
     return (["level", "step", "time", "cell"]
             + _component_names("r", s) + _component_names("P", dim)
             + _component_names("sigma", s) + _component_names("E", dim)
@@ -239,11 +249,11 @@ def write_trajectory_csv(path, level, traj, dim):
     n_steps = traj.time_grid.n_steps
     n_cells, k = traj.z_nodes.shape[1:]
     steps = np.arange(1, n_steps + 1)
-    prefix = np.concatenate([_ints(np.full(n_steps, level), ","), _ints(steps, ","),
-                             _floats((steps * traj.time_grid.h)[:, None], ",")], axis=1)
-    suffix = _floats(np.array([c.residual for c in traj.certificates],
-                              dtype=float).reshape(-1, 1), "\n")
-    cells = _ints(np.arange(n_cells), ",")
+    prefix = _compact(_floats(np.column_stack(
+        [np.full(n_steps, level), steps, steps * traj.time_grid.h]), ",,,"))
+    suffix = _compact(_floats(np.array([c.residual for c in traj.certificates],
+                                       dtype=float).reshape(-1, 1), "\n"))
+    cells = _compact(_floats(np.arange(n_cells)[:, None], ","))
     z = traj.z_nodes[1:].reshape(-1, k)
     se = traj.sigma_E.reshape(-1, k)
     step, cell = np.divmod(np.arange(n_steps * n_cells), n_cells)
@@ -260,31 +270,22 @@ def write_trajectory_csv(path, level, traj, dim):
 def write_energy_csv(path, level, ledger):
     n = len(ledger.dissipation)
     steps = np.arange(1, n + 1)
-    values = np.column_stack([
-        steps * ledger.h, ledger.dissipation, ledger.Ig_star_rate, ledger.Ig_Sigma,
-        ledger.quad_energy[1:n + 1], ledger.If_energy[1:n + 1], ledger.slack(),
-    ])
-    prefix = np.concatenate([_ints(np.full(n, level), ","), _ints(steps, ",")], axis=1)
-    with _open(path, f"# ferrosolve energy ledger v{FORMAT_VERSION}\n"
-               "level,step,time,dissipation,Ig_star_rate,Ig_Sigma,"
-               "quad_energy,If_energy,slack\n") as fh:
-        _write_rows(fh, n, values.shape[1], [
-            lambda r: prefix[r], lambda r: _floats(values[r], ",,,,,,\n")])
+    _write_table(path, f"# ferrosolve energy ledger v{FORMAT_VERSION}\n", {
+        "level": np.full(n, level), "step": steps, "time": steps * ledger.h,
+        "dissipation": ledger.dissipation, "Ig_star_rate": ledger.Ig_star_rate,
+        "Ig_Sigma": ledger.Ig_Sigma, "quad_energy": ledger.quad_energy[1:n + 1],
+        "If_energy": ledger.If_energy[1:n + 1], "slack": ledger.slack()})
 
 
 def write_certificates_csv(path, level, traj):
     certs = traj.certificates
     n = len(certs)
-    values = np.array([[c.residual, c.constraint_violation, c.fixed_point_gap]
-                       for c in certs], dtype=float).reshape(n, 3)
-    prefix = np.concatenate([_ints(np.full(n, level), ","),
-                             _ints(np.arange(1, n + 1), ",")], axis=1)
-    iterations = _ints([c.iterations for c in certs], "\n")
-    with _open(path, f"# ferrosolve certificates v{FORMAT_VERSION}\n"
-               "level,step,residual,constraint_violation,fixed_point_gap,"
-               "iterations\n") as fh:
-        _write_rows(fh, n, 3, [lambda r: prefix[r], lambda r: _floats(values[r], ",,,"),
-                               lambda r: iterations[r]])
+    _write_table(path, f"# ferrosolve certificates v{FORMAT_VERSION}\n", {
+        "level": np.full(n, level), "step": np.arange(1, n + 1),
+        "residual": [c.residual for c in certs],
+        "constraint_violation": [c.constraint_violation for c in certs],
+        "fixed_point_gap": [c.fixed_point_gap for c in certs],
+        "iterations": [c.iterations for c in certs]})
 
 
 def write_measure_csv(path, measure):
@@ -301,39 +302,35 @@ def write_measure_csv(path, measure):
             return
         bins = np.repeat(np.arange(len(measure.atoms)), [len(row) for row in measure.atoms])
         cols = np.concatenate([np.arange(len(row)) for row in measure.atoms])
-        labels = np.concatenate([_ints(bins, ","), _ints(cols, ",")], axis=1)
         group = np.repeat(np.arange(len(counts)), counts)
-        atom = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
-        indices = _ints(np.arange(counts.max()), ",")
+        # time bin, cell and atom of each row; one block of index texts serves
+        # all three, so each index is formatted once
+        labels = np.column_stack([bins[group], cols[group],
+                                  np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)])
+        indices = _compact(_floats(np.arange(labels.max() + 1)[:, None], ","))
         values = np.column_stack([np.concatenate(weights), np.concatenate(atoms)])
         _write_rows(fh, n, k + 1, [
-            lambda r: labels[group[r]], lambda r: indices[atom[r]],
+            lambda r: indices[labels[r]].reshape(-1, 3 * indices.shape[1]),
             lambda r: _floats(values[r], "," * k + "\n")])
 
 
 def write_study_csv(path, study):
     """Per-level collapse diagnostics of a convergence study."""
     levels = study["levels"]
-    values = np.column_stack([
-        study["solo_spreads"], study["pooled_spreads"], study["F_deviation"],
-        np.concatenate([[np.nan], study["final_state_diffs"]])[:len(levels)],
-    ])
-    labels = _ints(levels, ",")
-    with _open(path, f"# ferrosolve convergence study v{FORMAT_VERSION}\n"
-               "level,solo_spread,pooled_spread,F_deviation,final_state_diff\n") as fh:
-        _write_rows(fh, len(levels), 4,
-                    [lambda r: labels[r], lambda r: _floats(values[r], ",,,\n")])
+    _write_table(path, f"# ferrosolve convergence study v{FORMAT_VERSION}\n", {
+        "level": levels, "solo_spread": study["solo_spreads"],
+        "pooled_spread": study["pooled_spreads"], "F_deviation": study["F_deviation"],
+        "final_state_diff": np.concatenate(
+            [[np.nan], study["final_state_diffs"]])[:len(levels)]})
 
 
 def write_mvs_csv(path, levels, rows):
     """Per-level sides and slack of the weak inequality and sides of the
     interpolant gap: rows holds lhs, rhs, slack, gap_lhs, gap_rhs of each
     level.  Unlike the other files, this one has no version line."""
-    rows = np.asarray(rows, dtype=float)
-    labels = _ints(levels, ",")
-    with _open(path, "level,lhs,rhs,slack,gap_lhs,gap_rhs\n") as fh:
-        _write_rows(fh, len(levels), 5,
-                    [lambda r: labels[r], lambda r: _floats(rows[r], ",,,,\n")])
+    names = ("lhs", "rhs", "slack", "gap_lhs", "gap_rhs")
+    rows = np.asarray(rows, dtype=float).reshape(len(levels), len(names))
+    _write_table(path, "", {"level": levels, **dict(zip(names, rows.T))})
 
 
 # ---------------------------------------------------------------------------
@@ -355,16 +352,11 @@ def write_snapshot(path, grid, fields, title="ferrosolve snapshot"):
     coords[:, :d] = grid.node_coords
 
     n_boxes = int(np.prod(grid.cells_per_axis))
-    n_simp = grid.n_cells // n_boxes
+    vols = grid.volumes.reshape(n_boxes, -1, 1)
+    weights = vols / vols.sum(axis=1, keepdims=True)
 
     def box_average(cell_vals):
-        v = np.asarray(cell_vals, dtype=float)
-        vols = grid.volumes.reshape(n_boxes, n_simp)
-        shaped = v.reshape((n_boxes, n_simp) + v.shape[1:])
-        w = vols / vols.sum(axis=1, keepdims=True)
-        if shaped.ndim == 2:
-            return np.sum(w * shaped, axis=1)
-        return np.sum(w[..., None] * shaped, axis=1)
+        return np.sum(weights * np.reshape(cell_vals, vols.shape[:2] + (-1,)), axis=1)
 
     with _open(path, "# vtk DataFile Version 3.0\n" + title + "\nASCII\n"
                "DATASET STRUCTURED_GRID\n"

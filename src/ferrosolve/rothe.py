@@ -431,7 +431,7 @@ class SteppedProblem:
         )
 
 
-def interpolant_gap(traj, volumes, p_star=2.0):
+def interpolant_gap(traj, volumes, p_star):
     """Both sides of the affine-vs-constant interpolant gap identity.
 
     Left side: the space-time p*-norm of the affine minus the constant

@@ -31,7 +31,8 @@ import scipy
 HERE = os.path.dirname(os.path.abspath(__file__))
 REFERENCE = os.path.join(HERE, "reference.json")
 #: scenario file (without .scn) -> the ferrosolve command that runs it
-COMMANDS = {"ball-2d": "run", "powerlaw-2d": "run", "converge-3d": "converge"}
+COMMANDS = {"ball-2d": "run", "powerlaw-2d": "run", "converge-3d": "converge",
+            "directional-ball-2d": "run", "converge-directional-2d": "converge"}
 #: data lines sampled per artifact, evenly spaced over its data lines
 N_SAMPLE = 16
 

@@ -223,3 +223,25 @@ def test_snapshot_rows_match_per_value_format(tmp_path):
     assert disp == [f"{_g(a)} {_g(b)} {_g(0.0)}" for a, b in fields.u]
     phi_at = start + grid.n_nodes + 2
     assert lines[phi_at:phi_at + grid.n_nodes] == [_g(v) for v in fields.phi]
+
+
+def test_integer_columns_at_every_power_of_ten(tmp_path):
+    """Level, step, cell and iteration counts are integral doubles through
+    the formatter; exact powers of ten take its per-value path."""
+    iterations = [0] + [i for e in range(1, 6) for i in (10 ** e - 1, 10 ** e)] + [1]
+    tg = TimeGrid(T=1.0, level=7)
+    n_cells, k = 1001, 2
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal((tg.n_steps + 1, n_cells, k))
+    se = rng.standard_normal((tg.n_steps, n_cells, k))
+    certs = [StepCertificate(0.5 ** n, 0.0, 1e-3, iterations[n % len(iterations)])
+             for n in range(tg.n_steps)]
+    traj = Trajectory(tg, z, se, se, certs, se)
+    write_certificates_csv(tmp_path / "c.csv", 7, traj)
+    fields = [line.split(",") for line in (tmp_path / "c.csv").read_text().splitlines()[2:]]
+    assert [(f[0], f[1], f[5]) for f in fields] == [
+        ("7", str(n + 1), str(c.iterations)) for n, c in enumerate(certs)]
+    write_trajectory_csv(tmp_path / "t.csv", 7, traj, 1)
+    fields = [line.split(",") for line in (tmp_path / "t.csv").read_text().splitlines()[2:]]
+    assert [(f[0], f[1], f[3]) for f in fields] == [
+        ("7", str(n + 1), str(c)) for n in range(tg.n_steps) for c in range(n_cells)]
