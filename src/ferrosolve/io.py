@@ -289,27 +289,21 @@ def write_certificates_csv(path, level, traj):
 
 
 def write_measure_csv(path, measure):
-    """Per-cell atoms of an empirical measure: one row per atom."""
+    """Atoms of an empirical measure: one row per atom, bin by bin, cell by
+    cell."""
     k = measure.first_moment.shape[-1]
-    atoms = [a for row in measure.atoms for a in row]
-    weights = [w for row in measure.weights for w in row]
-    counts = np.array([len(w) for w in weights], dtype=np.int64)
-    n = int(counts.sum())
+    # time bin, cell and atom of each row; one block of index texts serves
+    # all three, so each index is formatted once
+    labels = np.concatenate([np.column_stack([np.full(w.size, i),
+                                              *np.indices(w.shape).reshape(2, -1)])
+                             for i, w in enumerate(measure.weights)])
+    indices = _compact(_floats(np.arange(labels.max() + 1)[:, None], ","))
+    values = np.column_stack([np.concatenate([w.ravel() for w in measure.weights]),
+                              np.concatenate([a.reshape(-1, k) for a in measure.atoms])])
     with _open(path, f"# ferrosolve measure atoms v{FORMAT_VERSION}\n"
                "time_bin,cell_group,atom,weight,"
                + ",".join(_component_names("z", k)) + "\n") as fh:
-        if n == 0:
-            return
-        bins = np.repeat(np.arange(len(measure.atoms)), [len(row) for row in measure.atoms])
-        cols = np.concatenate([np.arange(len(row)) for row in measure.atoms])
-        group = np.repeat(np.arange(len(counts)), counts)
-        # time bin, cell and atom of each row; one block of index texts serves
-        # all three, so each index is formatted once
-        labels = np.column_stack([bins[group], cols[group],
-                                  np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)])
-        indices = _compact(_floats(np.arange(labels.max() + 1)[:, None], ","))
-        values = np.column_stack([np.concatenate(weights), np.concatenate(atoms)])
-        _write_rows(fh, n, k + 1, [
+        _write_rows(fh, len(values), k + 1, [
             lambda r: indices[labels[r]].reshape(-1, 3 * indices.shape[1]),
             lambda r: _floats(values[r], "," * k + "\n")])
 

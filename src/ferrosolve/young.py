@@ -29,10 +29,12 @@ def uniform_partition(time_grid, n_time_bins):
 class EmpiricalYoungMeasure:
     """Weighted atoms per (time bin, grid cell).
 
-    time_edges is the increasing array of the nt + 1 time bin edges.
-    atoms[i][c] is an (n_ic, k) array, weights[i][c] an (n_ic,) probability
-    vector (for built measures, views into one array of sorted atoms and one
-    of weights); first_moment and spread are (nt, n_cells, k) and
+    time_edges is the increasing array of the nt + 1 time bin edges.  Every
+    grid cell of time bin i holds the same number n_i of atoms: atoms[i] is
+    an (n_cells, n_i, k) array and weights[i] an (n_cells, n_i) array whose
+    rows are probability vectors, so atoms[i][c] are the atoms of bin i and
+    cell c (for built measures, views into one array of sorted atoms and
+    one of weights); first_moment and spread are (nt, n_cells, k) and
     (nt, n_cells).
     """
 
@@ -86,45 +88,42 @@ def _time_bins(time_grid, edges):
     return np.clip(np.searchsorted(edges, mids, side="right") - 1, 0, len(edges) - 2)
 
 
-def _rows(flat, counts, ng):
-    """Split flat along axis 0 into segments (views), ng segments per row."""
-    ends = np.cumsum(counts).tolist()
-    segs = [flat[e - c:e] for e, c in zip(ends, counts.tolist())]
-    return [segs[i:i + ng] for i in range(0, len(segs), ng)]
-
-
 def build_measure(trajectories, volumes, time_edges):
     """Pool piecewise-constant interpolant values of several levels.
 
     Each step of each trajectory contributes one atom per grid cell with
     weight h * volume; weights are normalized per (time bin, grid cell).  All
-    trajectories must share the grid and final time.  Every atom is labelled
-    by its (time bin, grid cell) and the labels are stably sorted once, so a
-    partition cell holds its atoms in the order trajectory, step; the moments
-    are segment sums over the sorted atoms.
+    trajectories must share the grid and final time T, and time_edges must
+    increase strictly from 0 to T.  Every atom is labelled by its (time bin,
+    grid cell) and the labels are stably sorted once, so a partition cell
+    holds its atoms in the order trajectory, step; the moments are segment
+    sums over the sorted atoms.
     """
     n_cells, k = _check_family(trajectories)
+    T = trajectories[0].time_grid.T
     edges = np.asarray(time_edges, dtype=float)
+    if not (len(edges) > 1 and edges[0] == 0.0 and edges[-1] == T
+            and np.all(np.diff(edges) > 0.0)):
+        raise ValueError(f"time edges must increase strictly from 0 to T = {T:g}")
     nt = len(edges) - 1
 
-    labels, atoms, wts = [], [], []
-    for tr in trajectories:
-        bins = _time_bins(tr.time_grid, edges)
-        labels.append((bins[:, None] * n_cells + np.arange(n_cells)).ravel())
-        atoms.append(tr.z_nodes[1:].reshape(-1, k))
-        wts.append(np.tile(tr.time_grid.h * volumes, len(bins)))
-    labels = np.concatenate(labels)
-    counts = np.bincount(labels, minlength=nt * n_cells)
-    empty = np.flatnonzero(~counts.reshape(nt, n_cells).any(axis=1))
+    bins = [_time_bins(tr.time_grid, edges) for tr in trajectories]
+    steps = np.bincount(np.concatenate(bins), minlength=nt)
+    empty = np.flatnonzero(steps == 0)
     if len(empty):
         raise ValueError(f"time bin {empty[0]} of the partition holds no step")
+    labels = np.concatenate([(b[:, None] * n_cells + np.arange(n_cells)).ravel() for b in bins])
     order = np.argsort(labels, kind="stable")
-    a = np.concatenate(atoms)[order]
-    w = np.concatenate(wts)[order]
+    a = np.concatenate([tr.z_nodes[1:].reshape(-1, k) for tr in trajectories])[order]
+    w = np.concatenate([np.tile(tr.time_grid.h * volumes, tr.time_grid.n_steps)
+                        for tr in trajectories])[order]
+    counts = np.repeat(steps, n_cells)
     w /= np.repeat(_segment_sum(w, counts), counts)
     first, spread = _pooled_moments(a, w, counts)
+    split = np.cumsum(steps * n_cells)[:-1]
     return EmpiricalYoungMeasure(
-        time_edges=edges, atoms=_rows(a, counts, n_cells), weights=_rows(w, counts, n_cells),
+        time_edges=edges, atoms=[b.reshape(n_cells, -1, k) for b in np.split(a, split)],
+        weights=[b.reshape(n_cells, -1) for b in np.split(w, split)],
         first_moment=first.reshape(nt, n_cells, k), spread=spread.reshape(nt, n_cells),
     )
 
@@ -146,26 +145,24 @@ def measure_at_time(trajectories, volumes, t):
     counts = np.full(n_cells, len(trajectories))
     first, spread = _pooled_moments(a, w, counts)
     return EmpiricalYoungMeasure(
-        time_edges=np.array([t, t]), atoms=_rows(a, counts, n_cells),
-        weights=_rows(w, counts, n_cells), first_moment=first[None], spread=spread[None])
+        time_edges=np.array([t, t]), atoms=[a.reshape(n_cells, -1, k)],
+        weights=[w.reshape(n_cells, -1)], first_moment=first[None], spread=spread[None])
 
 
 def eval_F(measure, f_spec, strain_dim):
     """Measure-averaged driving force F = int grad f dmu per partition cell."""
-    nt = len(measure.atoms)
-    ng = len(measure.atoms[0])
-    k = measure.first_moment.shape[-1]
-    counts = np.array([len(w) for row in measure.weights for w in row])
-    atoms = np.concatenate([a for row in measure.atoms for a in row])
-    weights = np.concatenate([w for row in measure.weights for w in row])
+    nt, n_cells, k = measure.first_moment.shape
+    counts = np.repeat([w.shape[1] for w in measure.weights], n_cells)
+    atoms = np.concatenate([a.reshape(-1, k) for a in measure.atoms])
+    weights = np.concatenate([w.ravel() for w in measure.weights])
     inside = np.atleast_1d(full_contains(f_spec, atoms, strain_dim))
     if not inside.all():
         i, j = divmod(int(np.searchsorted(np.cumsum(counts), np.argmin(inside),
-                                          side="right")), ng)
+                                          side="right")), n_cells)
         raise AtomOutsideDomain(
             f"atom outside the domain of the remanent energy in bin ({i}, {j})")
     grad = full_grad(f_spec, atoms, strain_dim)
-    return _segment_sum(weights[:, None] * grad, counts).reshape(nt, ng, k)
+    return _segment_sum(weights[:, None] * grad, counts).reshape(nt, n_cells, k)
 
 
 @dataclass

@@ -192,17 +192,17 @@ def test_mvs_rows_match_per_value_format(tmp_path):
 
 def test_measure_rows_match_per_value_format(tmp_path):
     rng = np.random.default_rng(4)
-    k = 5
-    counts = [[3, 1], [0, 12]]           # 2 time bins x 2 cells: one atom, none
-    atoms = [[_special_values(rng, (c, k)) for c in row] for row in counts]
-    weights = [[_special_values(rng, c) for c in row] for row in counts]
+    k, n_cells = 5, 2
+    counts = [3, 12]                     # atoms per cell in each of 2 time bins
+    atoms = [_special_values(rng, (n_cells, c, k)) for c in counts]
+    weights = [_special_values(rng, (n_cells, c)) for c in counts]
     measure = EmpiricalYoungMeasure(np.array([0.0, 0.5, 1.0]), atoms, weights,
-                                    np.zeros((2, 2, k)), np.zeros((2, 2)))
+                                    np.zeros((2, n_cells, k)), np.zeros((2, n_cells)))
     path = tmp_path / "m.csv"
     write_measure_csv(path, measure)
-    expected = [",".join([str(i), str(j), str(a), _g(weights[i][j][a])]
-                         + [_g(v) for v in atoms[i][j][a]])
-                for i in range(2) for j in range(2) for a in range(counts[i][j])]
+    expected = [",".join([str(i), str(j), str(a), _g(weights[i][j, a])]
+                         + [_g(v) for v in atoms[i][j, a]])
+                for i in range(2) for j in range(n_cells) for a in range(counts[i])]
     lines = path.read_text().splitlines()
     assert lines[1] == "time_bin,cell_group,atom,weight,z0,z1,z2,z3,z4"
     assert lines[2:] == expected

@@ -94,7 +94,7 @@ def test_eval_F_two_atoms_finite_difference_oracle():
     spec = LogSaturationRadial(1.5)
     atoms = np.array([[0.0, 0.3], [0.0, -0.6]])   # (r, P), strain_dim = 1
     mu = EmpiricalYoungMeasure(
-        time_edges=np.array([0.0, 1.0]), atoms=[[atoms]], weights=[[np.array([0.3, 0.7])]],
+        time_edges=np.array([0.0, 1.0]), atoms=[atoms[None]], weights=[np.array([[0.3, 0.7]])],
         first_moment=(np.array([0.3, 0.7]) @ atoms)[None, None, :],
         spread=np.zeros((1, 1)))
     F = eval_F(mu, spec, 1)
@@ -113,7 +113,7 @@ def test_eval_F_atom_outside_domain():
     spec = LogSaturationRadial(0.5)
     atoms = np.array([[0.0, 0.9]])
     mu = EmpiricalYoungMeasure(
-        time_edges=np.array([0.0, 1.0]), atoms=[[atoms]], weights=[[np.array([1.0])]],
+        time_edges=np.array([0.0, 1.0]), atoms=[atoms[None]], weights=[np.array([[1.0]])],
         first_moment=atoms[None, :], spread=np.zeros((1, 1)))
     with pytest.raises(AtomOutsideDomain):
         eval_F(mu, spec, 1)
@@ -375,6 +375,42 @@ def test_build_measure_matches_per_bin_oracle(smooth_family):
         for subset in (trajs, trajs[1:], trajs[2:]):
             mu = build_measure(subset, vols, edges)
             _assert_same_measure(mu, *_oracle_build(subset, vols, edges))
+
+
+def test_build_measure_holds_one_block_per_time_bin(smooth_family):
+    """Every cell of time bin i holds the n_i atoms of the steps whose
+    midpoints fall in the bin: atoms[i] is one (n_cells, n_i, k) array and
+    weights[i] one (n_cells, n_i) array."""
+    grid, sys_, f, g, runs = smooth_family
+    trajs = [runs[lv][1] for lv in (3, 4, 5)]
+    k = trajs[0].z_nodes.shape[-1]
+    for edges in _partitions(runs[3][0].time_grid):
+        for subset in (trajs, trajs[1:], trajs[2:]):
+            mu = build_measure(subset, grid.volumes, edges)
+            assert len(mu.atoms) == len(mu.weights) == len(edges) - 1
+            for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+                n_i = 0
+                for tr in subset:
+                    mids = (np.arange(tr.time_grid.n_steps) + 0.5) * tr.time_grid.h
+                    n_i += int(np.count_nonzero((lo <= mids) & (mids < hi)))
+                assert mu.atoms[i].shape == (grid.n_cells, n_i, k)
+                assert mu.weights[i].shape == (grid.n_cells, n_i)
+    mu = measure_at_time(trajs, grid.volumes, 0.3)
+    assert mu.atoms[0].shape == (grid.n_cells, len(trajs), k)
+    assert mu.weights[0].shape == (grid.n_cells, len(trajs))
+
+
+@pytest.mark.parametrize("edges", [[0.0, 0.5], [0.0, 0.5, 0.25, 1.0], [0.25, 1.0],
+                                   [0.0, 0.5, 0.5, 1.0], [0.0, 1.5], [0.0, np.nan, 1.0],
+                                   [1.0]],
+                         ids=["short", "decreasing", "late_start", "repeated", "long",
+                              "nan", "one_edge"])
+def test_build_measure_rejects_edges_off_zero_to_T(smooth_family, edges):
+    """Edges that do not increase strictly from 0 to T are refused, not
+    clipped: a step outside them would be pooled into an end bin."""
+    grid, sys_, f, g, runs = smooth_family
+    with pytest.raises(ValueError, match="time edges must increase strictly from 0 to T = 1"):
+        build_measure([runs[3][1]], grid.volumes, np.array(edges))
 
 
 def test_eval_F_matches_per_bin_oracle(smooth_family):
