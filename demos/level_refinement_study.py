@@ -45,7 +45,7 @@ for m in (4, 5, 6):
 # four equal time bins.
 edges = uniform_partition(problems[7].time_grid, n_time_bins=4)
 pooled = build_measure([traj for _, traj in results], grid.volumes, edges)
-study = convergence_study(results, f_spec, grid.strain_dim, grid.volumes, pooled)
+study = convergence_study([traj for _, traj in results], f_spec, grid.volumes, pooled)
 print("\nfinal-state differences between consecutive levels "
       "(should roughly halve):")
 for (a, b), d in zip(zip(study["levels"], study["levels"][1:]),
@@ -56,5 +56,5 @@ for (a, b), d in zip(zip(study["levels"], study["levels"][1:]),
 # up to the aggregated per-step certificates.
 print("\nweak-inequality slack per level:")
 for level, traj in results:
-    rep = mvs_residual(traj, problems[level], f_spec, g_spec)
+    rep = mvs_residual(traj, problems[level])
     print(f"  m={level}: slack = {rep.slack:.3e}")

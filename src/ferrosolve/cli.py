@@ -30,21 +30,19 @@ _VALIDATION_ERRORS = (ParseError, ValidationError, NonPositiveDefinite,
 
 
 def _coercivity_gate(scn, override):
-    """Refuse a scenario outside both existence regimes: a rate-dependent g
-    with a coercive f, or any g under positive definite hardening."""
-    f_spec, g_spec = scn.build_f(), scn.build_g()
-    if scn.build_tensors().hardening_definite or (
-            f_spec.coercive and not g_spec.rate_independent):
-        return
-    reason = (f"the dissipation potential {g_spec.family} is rate-independent"
-              if g_spec.rate_independent else
-              f"the remanent energy {f_spec.family} lacks the quadratic lower bound")
-    reason += " and the hardening map is not positive definite"
-    if override:
+    """Build the scenario's f, g and tensors, and refuse them outside both existence
+    regimes: a rate-dependent g with a coercive f, or any g under definite hardening."""
+    f_spec, g_spec, tensors = scn.build_f(), scn.build_g(), scn.build_tensors()
+    if not (tensors.hardening_definite or (f_spec.coercive and not g_spec.rate_independent)):
+        reason = (f"the dissipation potential {g_spec.family} is rate-independent"
+                  if g_spec.rate_independent else
+                  f"the remanent energy {f_spec.family} lacks the quadratic lower bound")
+        reason += " and the hardening map is not positive definite"
+        if not override:
+            raise ValidationError(f"{reason}: neither existence regime applies; "
+                                  "pass --override-coercivity to run anyway")
         print(f"warning: {reason}; proceeding under --override-coercivity", file=sys.stderr)
-        return
-    raise ValidationError(f"{reason}: neither existence regime applies; "
-                          "pass --override-coercivity to run anyway")
+    return f_spec, g_spec, tensors
 
 
 def _run_level(scn, system, level, outdir):
@@ -66,12 +64,9 @@ def _run_level(scn, system, level, outdir):
         traj, ledger = problem.run(z0, zhat, step_tol=scn.tolerances.step_tol)
 
     suffix = f"_m{level}"
-    fio.write_trajectory_csv(
-        os.path.join(outdir, f"trajectory{suffix}.csv"), level, traj, grid.dim)
-    fio.write_energy_csv(
-        os.path.join(outdir, f"energy{suffix}.csv"), level, ledger)
-    fio.write_certificates_csv(
-        os.path.join(outdir, f"certificates{suffix}.csv"), level, traj)
+    fio.write_trajectory_csv(os.path.join(outdir, f"trajectory{suffix}.csv"), traj)
+    fio.write_energy_csv(os.path.join(outdir, f"energy{suffix}.csv"), level, ledger)
+    fio.write_certificates_csv(os.path.join(outdir, f"certificates{suffix}.csv"), traj)
     for i, t in enumerate(np.atleast_1d(scn.checkpoints)):
         n = int(round(t / traj.time_grid.h))
         n = max(0, min(n, traj.time_grid.n_steps))
@@ -127,32 +122,28 @@ def cmd_converge(scn, args):
     system = scn.build_system()
     grid = system.grid
     tols = scn.tolerances
-    runs = []
-    failures = []
+    problems, trajs, failures = [], [], []
     for lv in range(m0, m1 + 1):
         problem, traj, ledger = _run_level(scn, system, lv, outdir)
-        runs.append((lv, problem, traj))
+        problems.append(problem)
+        trajs.append(traj)
         failures.append(_energy_failure(lv, ledger, tols.tol_energy))
-    coarsest = runs[0][1]
-    f_spec, g_spec = coarsest.f, coarsest.g
 
-    edges = uniform_partition(coarsest.time_grid, n_time_bins=2 ** m0)
-    measure = build_measure([traj for _, _, traj in runs], grid.volumes, edges)
-    study = convergence_study([(lv, traj) for lv, _, traj in runs], f_spec,
-                              grid.strain_dim, grid.volumes, measure)
+    edges = uniform_partition(trajs[0].time_grid, n_time_bins=2 ** m0)
+    measure = build_measure(trajs, grid.volumes, edges)
+    study = convergence_study(trajs, problems[0].f, grid.volumes, measure)
     fio.write_study_csv(os.path.join(outdir, "study.csv"), study)
     fio.write_measure_csv(os.path.join(outdir, "measure.csv"), measure)
 
     rows = []
-    for lv, problem, traj in runs:
-        rep = mvs_residual(traj, problem, f_spec, g_spec)
+    for problem, traj in zip(problems, trajs):
+        rep = mvs_residual(traj, problem)
         rows.append((rep.lhs, rep.rhs, rep.slack)
-                    + interpolant_gap(traj, grid.volumes, p_star=g_spec.p_star))
+                    + interpolant_gap(traj, grid.volumes, p_star=problem.g.p_star))
         if not rep.slack >= -tols.tol_mvs:
-            failures.append(f"level {lv}: MVS slack {rep.slack:.3e} "
+            failures.append(f"level {problem.level}: MVS slack {rep.slack:.3e} "
                             f"< -tol_mvs = {-tols.tol_mvs:.3e}")
-    fio.write_mvs_csv(os.path.join(outdir, "mvs.csv"),
-                      [lv for lv, _, _ in runs], rows)
+    fio.write_mvs_csv(os.path.join(outdir, "mvs.csv"), study["levels"], rows)
 
     diffs = study["final_state_diffs"]
     print(f"levels {m0}..{m1}: final-state level differences "
@@ -161,15 +152,12 @@ def cmd_converge(scn, args):
 
 
 def cmd_check(scn, args):
-    _coercivity_gate(scn, args.override_coercivity)
-    tensors = scn.build_tensors()
+    f_spec, g_spec, tensors = _coercivity_gate(scn, args.override_coercivity)
     block_A = assemble_block_A(tensors)
     block_D = assemble_block_D(tensors)
     # the largest reg a run of this scenario can use: at its coarsest level
     spectral_bound(block_D.matrix, tensors.L_hard,
                    level_reg(min(scn.level, scn.levels[0]), scn.reg_weight))
-    f_spec = scn.build_f()
-    g_spec = scn.build_g()
     print(f"c0 = {block_A.c0:.17g}")
     print(f"lambda_min_D = {block_D.lam_min:.17g}")
     print(f"f family = {f_spec.family}, coercive = {f_spec.coercive}, "

@@ -44,7 +44,7 @@ import os
 
 import numpy as np
 
-from .packing import sym_dim
+from .packing import space_dim, sym_dim
 
 FORMAT_VERSION = 1
 
@@ -244,13 +244,13 @@ def trajectory_columns(dim):
             + ["certificate"])
 
 
-def write_trajectory_csv(path, level, traj, dim):
+def write_trajectory_csv(path, traj):
     """One row per (step, cell); columns fixed by :func:`trajectory_columns`."""
     n_steps = traj.time_grid.n_steps
     n_cells, k = traj.z_nodes.shape[1:]
     steps = np.arange(1, n_steps + 1)
     prefix = _compact(_floats(np.column_stack(
-        [np.full(n_steps, level), steps, steps * traj.time_grid.h]), ",,,"))
+        [np.full(n_steps, traj.time_grid.level), steps, steps * traj.time_grid.h]), ",,,"))
     suffix = _compact(_floats(np.array([c.residual for c in traj.certificates],
                                        dtype=float).reshape(-1, 1), "\n"))
     cells = _compact(_floats(np.arange(n_cells)[:, None], ","))
@@ -258,7 +258,7 @@ def write_trajectory_csv(path, level, traj, dim):
     se = traj.sigma_E.reshape(-1, k)
     step, cell = np.divmod(np.arange(n_steps * n_cells), n_cells)
     with _open(path, f"# ferrosolve trajectory v{FORMAT_VERSION}\n"
-               + ",".join(trajectory_columns(dim)) + "\n") as fh:
+               + ",".join(trajectory_columns(space_dim(k))) + "\n") as fh:
         _write_rows(fh, len(step), 2 * k + 1, [
             lambda r: prefix[step[r]],
             lambda r: cells[cell[r]],
@@ -277,11 +277,11 @@ def write_energy_csv(path, level, ledger):
         "If_energy": ledger.If_energy[1:n + 1], "slack": ledger.slack()})
 
 
-def write_certificates_csv(path, level, traj):
+def write_certificates_csv(path, traj):
     certs = traj.certificates
     n = len(certs)
     _write_table(path, f"# ferrosolve certificates v{FORMAT_VERSION}\n", {
-        "level": np.full(n, level), "step": np.arange(1, n + 1),
+        "level": np.full(n, traj.time_grid.level), "step": np.arange(1, n + 1),
         "residual": [c.residual for c in certs],
         "constraint_violation": [c.constraint_violation for c in certs],
         "fixed_point_gap": [c.fixed_point_gap for c in certs],

@@ -20,6 +20,14 @@ def internal_dim(dim):
     return sym_dim(dim) + dim
 
 
+def space_dim(k):
+    """Inverse of :func:`internal_dim`; ValueError for a k that is none of its values."""
+    try:
+        return {2: 1, 5: 2, 9: 3}[k]
+    except KeyError:
+        raise ValueError(f"no space dimension has {k} internal variables") from None
+
+
 def sym_index_pairs(dim):
     """Index pairs (i, j) in packing order: diagonal first, then i < j."""
     diag = [(i, i) for i in range(dim)]

@@ -20,6 +20,7 @@ always lives on the last axis.  Extended-real values are represented with
 import numpy as np
 
 from .errors import NoConvergence, OutsideDomain, UnsupportedFamily
+from .packing import space_dim
 from .tensors import _check_spd
 
 #: relative margin kept between iterates and a bounded-domain boundary
@@ -388,33 +389,35 @@ def fenchel_residual(g_spec, v, w):
 
 
 # ---------------------------------------------------------------------------
-# Lifting P-only families to the full internal-variable space (r, P).
+# Lifting P-only families to z = (r, P), P being the last space_dim(k) of its k entries.
 
-def full_value(spec, z, strain_dim):
+def full_value(spec, z):
     if spec.acts_on == "P":
-        return spec.value(np.asarray(z)[..., strain_dim:])
+        return spec.value(np.asarray(z)[..., -space_dim(np.shape(z)[-1]):])
     return spec.value(z)
 
 
-def full_grad(spec, z, strain_dim):
+def full_grad(spec, z):
     z = np.asarray(z, dtype=float)
     if spec.acts_on == "P":
+        d = space_dim(z.shape[-1])
         out = np.zeros_like(z)
-        out[..., strain_dim:] = spec.grad(z[..., strain_dim:])
+        out[..., -d:] = spec.grad(z[..., -d:])
         return out
     return spec.grad(z)
 
 
-def full_prox(spec, lam, z, strain_dim):
+def full_prox(spec, lam, z):
     z = np.asarray(z, dtype=float)
     if spec.acts_on == "P":
+        d = space_dim(z.shape[-1])
         out = z.copy()
-        out[..., strain_dim:] = spec.prox(lam, z[..., strain_dim:])
+        out[..., -d:] = spec.prox(lam, z[..., -d:])
         return out
     return spec.prox(lam, z)
 
 
-def full_contains(spec, z, strain_dim):
+def full_contains(spec, z):
     if spec.acts_on == "P":
-        return spec.contains(np.asarray(z)[..., strain_dim:])
+        return spec.contains(np.asarray(z)[..., -space_dim(np.shape(z)[-1]):])
     return spec.contains(z)

@@ -255,9 +255,7 @@ class SteppedProblem:
         self.time_grid = TimeGrid(T=self.T, level=self.level)
         self.h = self.time_grid.h
         self.reg = level_reg(self.level, reg_weight)
-        grid = system.grid
-        self.s = grid.strain_dim
-        self.vol = grid.volumes
+        self.vol = system.grid.volumes
         self.L = system.tensors.L_hard
 
         self.lam_max = spectral_bound(system.block_D.matrix, self.L, self.reg)
@@ -278,7 +276,7 @@ class SteppedProblem:
         the violation is the largest distance of Sigma to that domain.
         ``Mm_z`` is M_m z.
         """
-        Sigma = -Mm_z - full_grad(self.f, z, self.s) + zhat
+        Sigma = -Mm_z - full_grad(self.f, z) + zhat
         viol = float(self.g.violation(Sigma).max(initial=0.0))
         Sigma_in = self.g.project(Sigma)
         resid = fenchel_residual(self.g, rate, Sigma_in)
@@ -316,7 +314,7 @@ class SteppedProblem:
         if max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {max_iter}")
         z_prev = np.asarray(z_prev, dtype=float)
-        if not np.all(full_contains(self.f, z_prev, self.s)):
+        if not np.all(full_contains(self.f, z_prev)):
             raise DomainEscape("previous state left the domain of the remanent energy")
         gam = self.gamma
         y = z_prev.copy() if y0 is None else np.asarray(y0, dtype=float).copy()
@@ -325,7 +323,7 @@ class SteppedProblem:
         y_last, r_last, r_norm_last = np.empty_like(y_flat), np.empty_like(y_flat), np.inf
         resid, best, stalled = np.nan, np.inf, 0
         for it in range(1, max_iter + 1):
-            xB = full_prox(self.f, gam, y, self.s)
+            xB = full_prox(self.f, gam, y)
             M_xB = self.apply_M(xB)
             Mm_xB = M_xB + xB @ self.L.T + self.reg * xB
             grad = Mm_xB - zhat
@@ -374,7 +372,7 @@ class SteppedProblem:
             raise ValueError(f"max_iter must be >= 1, got {max_iter}")
         tg = self.time_grid
         z0 = np.asarray(z0, dtype=float)
-        if not np.all(full_contains(self.f, z0, self.s)):
+        if not np.all(full_contains(self.f, z0)):
             raise DomainEscape("initial state outside the domain of the remanent energy")
         zhat_steps = np.asarray(zhat_steps)
         N = tg.n_steps
@@ -427,7 +425,7 @@ class SteppedProblem:
             rate_norm=p_norm(rate, g.p_star),
             zhat_norm=p_norm(traj.zhat, g.p),
             quad_energy=quad,
-            If_energy=integral(vol * full_value(self.f, z, self.s)),
+            If_energy=integral(vol * full_value(self.f, z)),
         )
 
 

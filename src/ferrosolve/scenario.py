@@ -455,7 +455,7 @@ def parse_scenario(path_or_text, is_text=False):
             scn.build_tensors()
         except (ValueError, FerrosolveError) as exc:
             violations.append(f"[tensors] {exc}")
-        inside = full_contains(built["f"], np.broadcast_to(z0, (n_cells, k_dim)), s_dim)
+        inside = full_contains(built["f"], np.broadcast_to(z0, (n_cells, k_dim)))
         violations += [f"[initial] state of cell {ci} outside the domain of f"
                        for ci in np.flatnonzero(~inside)]
     if violations:

@@ -85,7 +85,16 @@ def _pooled_moments(atoms, weights, counts):
 def _time_bins(time_grid, edges):
     """Time bin of each step: the bin of edges that holds the step's midpoint."""
     mids = (np.arange(time_grid.n_steps) + 0.5) * time_grid.h
-    return np.clip(np.searchsorted(edges, mids, side="right") - 1, 0, len(edges) - 2)
+    return np.searchsorted(edges, mids, side="right") - 1
+
+
+def _time_edges(time_edges, T):
+    """The time edges as floats; ValueError unless they increase strictly from 0 to T."""
+    edges = np.asarray(time_edges, dtype=float)
+    if not (len(edges) > 1 and edges[0] == 0.0 and edges[-1] == T
+            and np.all(np.diff(edges) > 0.0)):
+        raise ValueError(f"time edges must increase strictly from 0 to T = {T:g}")
+    return edges
 
 
 def build_measure(trajectories, volumes, time_edges):
@@ -100,11 +109,7 @@ def build_measure(trajectories, volumes, time_edges):
     sums over the sorted atoms.
     """
     n_cells, k = _check_family(trajectories)
-    T = trajectories[0].time_grid.T
-    edges = np.asarray(time_edges, dtype=float)
-    if not (len(edges) > 1 and edges[0] == 0.0 and edges[-1] == T
-            and np.all(np.diff(edges) > 0.0)):
-        raise ValueError(f"time edges must increase strictly from 0 to T = {T:g}")
+    edges = _time_edges(time_edges, trajectories[0].time_grid.T)
     nt = len(edges) - 1
 
     bins = [_time_bins(tr.time_grid, edges) for tr in trajectories]
@@ -149,19 +154,19 @@ def measure_at_time(trajectories, volumes, t):
         weights=[w.reshape(n_cells, -1)], first_moment=first[None], spread=spread[None])
 
 
-def eval_F(measure, f_spec, strain_dim):
+def eval_F(measure, f_spec):
     """Measure-averaged driving force F = int grad f dmu per partition cell."""
     nt, n_cells, k = measure.first_moment.shape
     counts = np.repeat([w.shape[1] for w in measure.weights], n_cells)
     atoms = np.concatenate([a.reshape(-1, k) for a in measure.atoms])
     weights = np.concatenate([w.ravel() for w in measure.weights])
-    inside = np.atleast_1d(full_contains(f_spec, atoms, strain_dim))
+    inside = np.atleast_1d(full_contains(f_spec, atoms))
     if not inside.all():
         i, j = divmod(int(np.searchsorted(np.cumsum(counts), np.argmin(inside),
                                           side="right")), n_cells)
         raise AtomOutsideDomain(
             f"atom outside the domain of the remanent energy in bin ({i}, {j})")
-    grad = full_grad(f_spec, atoms, strain_dim)
+    grad = full_grad(f_spec, atoms)
     return _segment_sum(weights[:, None] * grad, counts).reshape(nt, n_cells, k)
 
 
@@ -177,12 +182,12 @@ class MVSResidualReport:
         return self.rhs - self.lhs
 
 
-def mvs_residual(traj, problem, f_spec, g_spec, measure=None):
+def mvs_residual(traj, problem, measure=None):
     """Weak-inequality residual of one trajectory's step data.
 
     LHS integrates g*(rate) + g((sigma, E) - L_m z - F) over space-time, with
-    g taken at the argument's flow-rule projection (``g_spec.project``) plus
-    the pairing of the rate with the projection's move, as in the step
+    the problem's g taken at the argument's flow-rule projection plus the
+    pairing of the rate with the projection's move, as in the step
     certificate.  RHS is the duality pairing of the rate with the argument,
     with the inner integral computed cell-by-cell in time first, never as a
     reordered global quadrature.  L_m includes the level's vanishing
@@ -190,22 +195,22 @@ def mvs_residual(traj, problem, f_spec, g_spec, measure=None):
     in the limit), and F is the gradient of the remanent energy at the
     trajectory value unless a pooled measure is supplied, in which case the
     measure-averaged driving force of its (time bin, grid cell) is used; a
-    measure on another grid is a MismatchedScenario.  For a certified
+    measure on another grid is a MismatchedScenario, and one whose time edges
+    do not run from 0 to the trajectory's T a ValueError.  For a certified
     trajectory the slack equals minus the aggregate of the per-step duality
     certificates up to the measure-averaging error.
     """
-    vol = problem.vol
+    vol, f_spec, g_spec = problem.vol, problem.f, problem.g
     h = traj.time_grid.h
-    s = problem.s
     Lm = problem.L + problem.reg * np.eye(problem.L.shape[0])
     z = traj.z_nodes[1:]
     if measure is None:
-        F = full_grad(f_spec, z, s)
+        F = full_grad(f_spec, z)
     else:
         if measure.first_moment.shape[1] != z.shape[1]:
             raise MismatchedScenario("the measure and the trajectory disagree on the grid")
-        bins = _time_bins(traj.time_grid, np.asarray(measure.time_edges, dtype=float))
-        F = eval_F(measure, f_spec, s)[bins]
+        bins = _time_bins(traj.time_grid, _time_edges(measure.time_edges, traj.time_grid.T))
+        F = eval_F(measure, f_spec)[bins]
     arg = traj.sigma_E - z @ Lm.T - F
     rate = traj.rates
     arg_in = g_spec.project(arg)
@@ -217,13 +222,13 @@ def mvs_residual(traj, problem, f_spec, g_spec, measure=None):
     return MVSResidualReport(lhs=float(np.cumsum(lhs)[-1]), rhs=float(np.cumsum(rhs)[-1]))
 
 
-def convergence_study(results, f_spec, strain_dim, volumes, measure):
+def convergence_study(trajectories, f_spec, volumes, measure):
     """Cross-level collapse diagnostics.
 
     Parameters
     ----------
-    results : list of (level, Trajectory) sorted by level.
-    measure : the measure of all the levels of results pooled in level order
+    trajectories : the level family in any order; the study sorts it by level.
+    measure : the measure of all the trajectories pooled in level order
         (:func:`build_measure`); the measures of the other prefixes of the
         family and of each level alone are built on its time edges.
 
@@ -231,14 +236,12 @@ def convergence_study(results, f_spec, strain_dim, volumes, measure):
     the deviation of the averaged driving force from grad f at the first
     moment, and pairwise level differences of the final state.
     """
-    results = sorted(results, key=lambda lr: lr[0])
-    levels = [lv for lv, _ in results]
-    trajs = [tr for _, tr in results]
+    trajs = sorted(trajectories, key=lambda tr: tr.time_grid.level)
     edges = measure.time_edges
 
     def F_deviation(mu):
-        F = eval_F(mu, f_spec, strain_dim)
-        grad_bar = full_grad(f_spec, mu.first_moment, strain_dim)
+        F = eval_F(mu, f_spec)
+        grad_bar = full_grad(f_spec, mu.first_moment)
         return float(np.abs(F - grad_bar).max(initial=0.0))
 
     # one measure at a time: each is dropped once its numbers are taken
@@ -263,7 +266,7 @@ def convergence_study(results, f_spec, strain_dim, volumes, measure):
                                   for tr in trajs[1:]]
 
     return {
-        "levels": levels,
+        "levels": [tr.time_grid.level for tr in trajs],
         "pooled_spreads": spreads,
         "solo_spreads": solo_spreads,
         "F_deviation": F_dev,

@@ -25,10 +25,11 @@ _ORACLE = "tests/test_young.py::test_build_measure_matches_per_bin_oracle"
 
 #: (file under src/, old text, new text, test node that must fail)
 MUTATIONS = [
-    # the written trajectory is the certified iterate
+    # the written trajectory is the certified iterate (the mutant writes the
+    # d entries of E before the sigma block)
     ("ferrosolve/io.py",
      "    se = traj.sigma_E.reshape(-1, k)\n",
-     "    se = np.roll(traj.sigma_E.reshape(-1, k), -sym_dim(dim), axis=1)\n",
+     "    se = np.roll(traj.sigma_E.reshape(-1, k), space_dim(k), axis=1)\n",
      _TRAJECTORY),
     ("ferrosolve/rothe.py", "zhat_steps - Mz[1:]", "zhat_steps - Mz[:-1]", _TRAJECTORY),
     ("ferrosolve/rothe.py", "return xB, Sigma, StepCertificate",
@@ -60,6 +61,16 @@ MUTATIONS = [
      "tests/test_io.py::test_measure_rows_match_per_value_format"),
     ("ferrosolve/young.py", "    if not (len(edges) > 1", "    if False and (len(edges) > 1",
      "tests/test_young.py::test_build_measure_rejects_edges_off_zero_to_T"),
+    # values read off the data: the (r, P) split, a trajectory's level, and the
+    # time edges of the measure that mvs_residual bins the steps with
+    ("ferrosolve/packing.py", "{2: 1, 5: 2, 9: 3}", "{2: 1, 5: 2, 9: 2}",
+     "tests/test_tensors.py::test_space_dim_inverts_internal_dim"),
+    ("ferrosolve/io.py", "np.full(n_steps, traj.time_grid.level)",
+     "np.full(n_steps, traj.time_grid.level + 1)",
+     "tests/test_io.py::test_trajectory_rows_match_per_value_format"),
+    ("ferrosolve/young.py", "_time_edges(measure.time_edges, traj.time_grid.T)",
+     "np.asarray(measure.time_edges, dtype=float)",
+     "tests/test_young.py::test_mvs_residual_rejects_measure_off_the_trajectory_time"),
 ]
 
 #: run pytest in a process whose ferrosolve is the copy's

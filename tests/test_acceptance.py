@@ -121,7 +121,7 @@ def test_acceptance_03_step_oracles():
     rate = (V - z_prev2[0]) / prob2.h
     obj = (prob2.h * g_spec.conjugate_value(rate)
            + 0.5 * np.sum((V @ Mm2.T) * V, axis=-1)
-           + full_value(f_spec, V, 1) - V @ zhat2[0])
+           + full_value(f_spec, V) - V @ zhat2[0])
     best = V[np.argmin(np.where(np.isfinite(obj), obj, np.inf))]
     spacing = max(r_grid[1] - r_grid[0], P_grid[1] - P_grid[0])
     err_b = np.abs(z2[0] - best).max()
@@ -205,22 +205,22 @@ def test_acceptance_08_measure_collapse_and_mvs_slack():
 
     # averaged driving force approaches grad f at the barycenter
     mu_all = measure_at_time([trajs[m] for m in (4, 5, 6, 7)], grid.volumes, 1.0)
-    F = eval_F(mu_all, f_spec, 1)
-    grad_bar = full_grad(f_spec, mu_all.first_moment[0], 1)
+    F = eval_F(mu_all, f_spec)
+    grad_bar = full_grad(f_spec, mu_all.first_moment[0])
     F_dev = float(np.abs(F[0] - grad_bar).max())
 
     # weak-inequality slack at the checkpoints t = 1/2 and t = 1
     worst_slack = 0.0
     for m in (4, 5, 6, 7):
         prob, traj = runs[m][1], trajs[m]
-        rep_full = mvs_residual(traj, prob, f_spec, prob.g)
+        rep_full = mvs_residual(traj, prob)
         half = Trajectory(TimeGrid(T=0.5, level=m - 1),
                           traj.z_nodes[:2 ** (m - 1) + 1],
                           traj.Sigma[:2 ** (m - 1)],
                           traj.sigma_E[:2 ** (m - 1)],
                           traj.certificates[:2 ** (m - 1)],
                           traj.zhat[:2 ** (m - 1)])
-        rep_half = mvs_residual(half, prob, f_spec, prob.g)
+        rep_half = mvs_residual(half, prob)
         worst_slack = min(worst_slack, rep_full.slack, rep_half.slack)
     ok = monotone and collapse_ok and F_dev <= 1e-10 and worst_slack >= -1e-5
     _report(8, ok, f"spreads={['%.2e' % s for s in spreads]} monotone={monotone}, "

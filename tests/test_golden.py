@@ -71,9 +71,23 @@ def test_golden_bytes_match_under_the_recorded_versions(outputs):
     assert not changed
 
 
-def test_golden_numbers_hold_under_another_blas_kernel(tmp_path):
-    """OpenBLAS's Prescott kernels round differently from the ones it picks
-    for this CPU, so the bytes may move; the sampled numbers may not."""
+def _avx512_mask():
+    """numpy's AVX-512 dispatch targets that this CPU has: numpy refuses to
+    disable a feature the CPU lacks."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:                  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return ",".join(f for f in ("X86_V4", "AVX512_ICL", "AVX512_SPR") if __cpu_features__.get(f))
+
+
+@pytest.mark.parametrize("env", [{"OPENBLAS_CORETYPE": "Prescott"},
+                                 {"NPY_DISABLE_CPU_FEATURES": _avx512_mask()}],
+                         ids=["openblas_prescott", "numpy_without_avx512"])
+def test_golden_numbers_hold_under_another_blas_kernel(tmp_path, env):
+    """OpenBLAS's Prescott kernels, and numpy's loops without AVX-512, round
+    differently from the ones picked for this CPU, so the bytes may move;
+    the sampled numbers may not."""
     run = ("import importlib.util, sys\n"
            "spec = importlib.util.spec_from_file_location('write_reference', sys.argv[1])\n"
            "golden = importlib.util.module_from_spec(spec)\n"
@@ -81,7 +95,7 @@ def test_golden_numbers_hold_under_another_blas_kernel(tmp_path):
            "golden.run_scenarios(sys.argv[2])\n")
     proc = subprocess.run([sys.executable, "-c", run, _SCRIPT, str(tmp_path)],
                           capture_output=True, text=True,
-                          env=dict(os.environ, OPENBLAS_CORETYPE="Prescott"))
+                          env=dict(os.environ, **env))
     assert proc.returncode == 0, proc.stderr
     with open(golden.REFERENCE) as fh:
         reference = json.load(fh)["artifacts"]

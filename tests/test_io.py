@@ -117,7 +117,7 @@ def _special_trajectory(dim=2, n_cells=3, level=2):
 def _check_trajectory(tmp_path, dim):
     traj = _special_trajectory(dim=dim)
     path = tmp_path / "t.csv"
-    write_trajectory_csv(path, 2, traj, dim)
+    write_trajectory_csv(path, traj)
     expected = []
     for n in range(traj.time_grid.n_steps):
         for c in range(traj.z_nodes.shape[1]):
@@ -158,9 +158,9 @@ def test_energy_rows_match_per_value_format(tmp_path):
 
 
 def test_certificate_rows_match_per_value_format(tmp_path):
-    traj = _special_trajectory(level=2)
+    traj = _special_trajectory(level=12)
     path = tmp_path / "c.csv"
-    write_certificates_csv(path, 12, traj)
+    write_certificates_csv(path, traj)
     expected = [f"12,{n + 1},{_g(c.residual)},{_g(c.constraint_violation)},"
                 f"{_g(c.fixed_point_gap)},{c.iterations}"
                 for n, c in enumerate(traj.certificates)]
@@ -237,11 +237,11 @@ def test_integer_columns_at_every_power_of_ten(tmp_path):
     certs = [StepCertificate(0.5 ** n, 0.0, 1e-3, iterations[n % len(iterations)])
              for n in range(tg.n_steps)]
     traj = Trajectory(tg, z, se, se, certs, se)
-    write_certificates_csv(tmp_path / "c.csv", 7, traj)
+    write_certificates_csv(tmp_path / "c.csv", traj)
     fields = [line.split(",") for line in (tmp_path / "c.csv").read_text().splitlines()[2:]]
     assert [(f[0], f[1], f[5]) for f in fields] == [
         ("7", str(n + 1), str(c.iterations)) for n, c in enumerate(certs)]
-    write_trajectory_csv(tmp_path / "t.csv", 7, traj, 1)
+    write_trajectory_csv(tmp_path / "t.csv", traj)
     fields = [line.split(",") for line in (tmp_path / "t.csv").read_text().splitlines()[2:]]
     assert [(f[0], f[1], f[3]) for f in fields] == [
         ("7", str(n + 1), str(c)) for n in range(tg.n_steps) for c in range(n_cells)]

@@ -417,14 +417,27 @@ def test_quadratic_prox_closed_form():
 
 def test_full_lifting_splits_blocks():
     spec = LogSaturationRadial(1.0)
-    z = np.array([[0.3, 0.4, 0.2]])  # strain_dim = 2, P block = last entry
-    s_dim = 2
-    assert float(full_value(spec, z, s_dim)[0]) == pytest.approx(
+    z = np.array([[0.3, 0.2]])  # d = 1: one strain entry, P block = last entry
+    s_dim = 1
+    assert float(full_value(spec, z)[0]) == pytest.approx(
         float(spec.value(np.array([0.2]))))
-    g = full_grad(spec, z, s_dim)
+    g = full_grad(spec, z)
     assert np.all(g[0, :s_dim] == 0.0)
-    p = full_prox(spec, 0.5, z, s_dim)
+    p = full_prox(spec, 0.5, z)
     assert np.allclose(p[0, :s_dim], z[0, :s_dim])
-    assert full_contains(spec, z, s_dim).all()
-    zbad = np.array([[0.0, 0.0, 1.5]])
-    assert not full_contains(spec, zbad, s_dim).any()
+    assert full_contains(spec, z).all()
+    zbad = np.array([[0.0, 1.5]])
+    assert not full_contains(spec, zbad).any()
+
+
+def test_full_lifting_takes_P_as_the_last_three_entries_in_3d():
+    """A 3-D z has k = 9 entries: six of packed strain r, then three of P."""
+    spec = LogSaturationRadial(1.0)
+    z = 0.3 * np.random.default_rng(4).uniform(-1.0, 1.0, (5, 9))
+    g = full_grad(spec, z)
+    assert np.all(g[:, :6] == 0.0)
+    assert np.array_equal(g[:, 6:], spec.grad(z[:, 6:]))
+    p = full_prox(spec, 0.5, z)
+    assert np.array_equal(p[:, :6], z[:, :6])
+    assert np.array_equal(p[:, 6:], spec.prox(0.5, z[:, 6:]))
+    assert np.array_equal(full_value(spec, z), spec.value(z[:, 6:]))

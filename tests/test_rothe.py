@@ -210,7 +210,7 @@ def test_step_matches_grid_search_oracle():
     rate = (V - z_prev[0]) / h
     obj = (h * g_spec.conjugate_value(rate)
            + 0.5 * np.sum((V @ Mm.T) * V, axis=-1)
-           + full_value(f_spec, V, 1)
+           + full_value(f_spec, V)
            - V @ zhat[0])
     best = V[np.argmin(np.where(np.isfinite(obj), obj, np.inf))]
     spacing = max(r_grid[1] - r_grid[0], P_grid[1] - P_grid[0])
@@ -503,7 +503,7 @@ def _oracle_run(prob, z0, zhat, step_tol, fp_tol):
         return 0.5 * dot(MLz, z) + 0.5 * prob.reg * dot(z, z)
 
     def I_f(z):
-        return float(np.sum(vol * full_value(prob.f, z, prob.s)))
+        return float(np.sum(vol * full_value(prob.f, z)))
 
     nodes, sigma_E = [z0], []
     terms = {key: [] for key in ("dissipation", "Ig_star_rate", "Ig_Sigma",
@@ -587,13 +587,13 @@ def _plain_davis_yin(prob, z_prev, zhat, fp_tol=1e-13, max_iter=200000):
     gam, h = 0.9 / prob.lam_max, prob.h
     y = z_prev.copy()
     for _ in range(max_iter):
-        xB = full_prox(prob.f, gam, y, prob.s)
+        xB = full_prox(prob.f, gam, y)
         grad = (Mm @ xB.ravel()).reshape(xB.shape) - zhat
         u = prob.g.conjugate_prox(gam / h, (2.0 * xB - y - gam * grad - z_prev) / h)
         delta = z_prev + h * u - xB
         y += delta
         if np.abs(delta).max() <= fp_tol:
-            return full_prox(prob.f, gam, y, prob.s)
+            return full_prox(prob.f, gam, y)
     raise AssertionError("the plain Davis-Yin oracle did not converge")
 
 

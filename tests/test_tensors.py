@@ -5,6 +5,7 @@ import pytest
 
 from ferrosolve import (NonPositiveDefinite, Quadratic, assemble_block_A,
                         assemble_block_D, isotropic_stiffness, make_tensors)
+from ferrosolve.packing import internal_dim, space_dim
 from ferrosolve.tensors import constitutive_stress_field
 
 
@@ -40,6 +41,14 @@ def test_packing_preserves_frobenius_inner_product():
         rhs = np.dot(pack_sym(A), pack_sym(B))
         assert lhs == pytest.approx(rhs, rel=1e-14)
         assert np.allclose(unpack_sym(pack_sym(A)), A)
+
+
+def test_space_dim_inverts_internal_dim():
+    for d in (1, 2, 3):
+        assert space_dim(internal_dim(d)) == d
+    for k in (3, 4):
+        with pytest.raises(ValueError, match=f"no space dimension has {k} internal"):
+            space_dim(k)
 
 
 def test_isotropic_stiffness_eigenvalues_d2():

@@ -62,7 +62,7 @@ def test_single_level_identical_cells_is_dirac():
     edges = uniform_partition(prob.time_grid, n_time_bins=2)
     mu = build_measure([traj], grid.volumes, edges)
     assert mu.max_spread == 0.0
-    F = eval_F(mu, Quadratic(np.eye(2)), 1)
+    F = eval_F(mu, Quadratic(np.eye(2)))
     assert np.abs(F).max() == 0.0
 
 
@@ -92,12 +92,12 @@ def test_two_atom_equal_volume_weights():
 
 def test_eval_F_two_atoms_finite_difference_oracle():
     spec = LogSaturationRadial(1.5)
-    atoms = np.array([[0.0, 0.3], [0.0, -0.6]])   # (r, P), strain_dim = 1
+    atoms = np.array([[0.0, 0.3], [0.0, -0.6]])   # (r, P) with d = 1
     mu = EmpiricalYoungMeasure(
         time_edges=np.array([0.0, 1.0]), atoms=[atoms[None]], weights=[np.array([[0.3, 0.7]])],
         first_moment=(np.array([0.3, 0.7]) @ atoms)[None, None, :],
         spread=np.zeros((1, 1)))
-    F = eval_F(mu, spec, 1)
+    F = eval_F(mu, spec)
 
     def fd(P):
         h = 1e-6
@@ -116,7 +116,7 @@ def test_eval_F_atom_outside_domain():
         time_edges=np.array([0.0, 1.0]), atoms=[atoms[None]], weights=[np.array([[1.0]])],
         first_moment=atoms[None, :], spread=np.zeros((1, 1)))
     with pytest.raises(AtomOutsideDomain):
-        eval_F(mu, spec, 1)
+        eval_F(mu, spec)
 
 
 def test_jensen_direction_two_atom_measures():
@@ -148,7 +148,7 @@ def test_mismatched_trajectories_rejected(smooth_family):
 def test_mvs_residual_certified_trajectory(smooth_family):
     grid, sys_, f, g, runs = smooth_family
     prob, traj = runs[5]
-    rep = mvs_residual(traj, prob, f, g)
+    rep = mvs_residual(traj, prob)
     # slack = minus aggregated per-step certificates, so near zero from below
     assert rep.slack <= 1e-12
     assert rep.slack >= -1e-6
@@ -167,14 +167,14 @@ def test_mvs_residual_with_one_atom_per_cell_measure(g):
     f = LogSaturationRadial(1.0)
     sched = LoadSchedule([0.0, 1.0], [[0.0], [0.8]], [0.0, 0.6])
     prob, traj = _run(3, grid, sys_, f, g, sched, step_tol=1e-9)
-    plain = mvs_residual(traj, prob, f, g)
+    plain = mvs_residual(traj, prob)
     fine = uniform_partition(prob.time_grid, n_time_bins=prob.time_grid.n_steps)
     mu = build_measure([traj], grid.volumes, fine)
     assert all(len(w) == 1 for row in mu.weights for w in row)
-    rep = mvs_residual(traj, prob, f, g, measure=mu)
+    rep = mvs_residual(traj, prob, measure=mu)
     assert (rep.lhs, rep.rhs) == (plain.lhs, plain.rhs)
     coarse = uniform_partition(prob.time_grid, n_time_bins=4)
-    rep = mvs_residual(traj, prob, f, g, measure=build_measure([traj], grid.volumes, coarse))
+    rep = mvs_residual(traj, prob, measure=build_measure([traj], grid.volumes, coarse))
     assert rep.slack != plain.slack
 
 
@@ -186,7 +186,7 @@ def test_mvs_residual_zero_scenario():
     prob = SteppedProblem(sys_, f, g, 2, T=1.0)
     traj, _ = prob.run(np.zeros((grid.n_cells, 2)),
                        np.zeros((4, grid.n_cells, 2)))
-    rep = mvs_residual(traj, prob, f, g)
+    rep = mvs_residual(traj, prob)
     assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.slack == 0.0
 
 
@@ -224,8 +224,8 @@ def test_mvs_residual_scaling_with_horizon():
 
     prob1 = SteppedProblem(sys_, f, g, 5, T=1.0, reg_weight=reg)
     prob2 = SteppedProblem(sys_, f, g, 6, T=2.0, reg_weight=reg)
-    rep1 = mvs_residual(window(64, 32, 1.0, 5), prob1, f, g)
-    rep2 = mvs_residual(window(64, 64, 2.0, 6), prob2, f, g)
+    rep1 = mvs_residual(window(64, 32, 1.0, 5), prob1)
+    rep2 = mvs_residual(window(64, 64, 2.0, 6), prob2)
     assert rep2.lhs == pytest.approx(2.0 * rep1.lhs, rel=1e-4)
     assert rep2.rhs == pytest.approx(2.0 * rep1.rhs, rel=1e-4)
 
@@ -235,7 +235,7 @@ def test_convergence_study_smooth_regime(smooth_family):
     results = [(lv, runs[lv][1]) for lv in (3, 4, 5)]
     edges = uniform_partition(runs[3][0].time_grid, n_time_bins=4)
     mu = build_measure([tr for _, tr in results], grid.volumes, edges)
-    study = convergence_study(results, f, 1, grid.volumes, mu)
+    study = convergence_study([tr for _, tr in results], f, grid.volumes, mu)
     diffs = study["final_state_diffs"]
     # successive level differences shrink by roughly a factor of two
     assert diffs[1] < diffs[0]
@@ -261,7 +261,7 @@ def test_zero_scenario_study_all_zero():
         probs[lv] = prob
     edges = uniform_partition(probs[2].time_grid, n_time_bins=2)
     mu = build_measure([tr for _, tr in results], grid.volumes, edges)
-    study = convergence_study(results, f, 1, grid.volumes, mu)
+    study = convergence_study([tr for _, tr in results], f, grid.volumes, mu)
     assert max(study["final_state_diffs"]) == 0.0
     assert max(study["pooled_spreads"]) == 0.0
 
@@ -305,16 +305,16 @@ def _oracle_build(trajectories, volumes, time_edges):
     return out_atoms, out_w, first, spread
 
 
-def _oracle_eval_F(atoms, weights, f_spec, strain_dim):
+def _oracle_eval_F(atoms, weights, f_spec):
     nt, ng = len(atoms), len(atoms[0])
     out = np.zeros((nt, ng, atoms[0][0].shape[-1]))
     for i in range(nt):
         for j in range(ng):
             a = atoms[i][j]
-            if not np.all(full_contains(f_spec, a, strain_dim)):
+            if not np.all(full_contains(f_spec, a)):
                 raise AtomOutsideDomain(
                     f"atom outside the domain of the remanent energy in bin ({i}, {j})")
-            out[i, j] = weights[i][j] @ full_grad(f_spec, a, strain_dim)
+            out[i, j] = weights[i][j] @ full_grad(f_spec, a)
     return out
 
 
@@ -422,11 +422,11 @@ def test_eval_F_matches_per_bin_oracle(smooth_family):
     for edges in _partitions(runs[3][0].time_grid):
         mu = build_measure(trajs, _uneven_volumes(grid), edges)
         for spec in specs:
-            F = eval_F(mu, spec, 1)
-            want = _oracle_eval_F(mu.atoms, mu.weights, spec, 1)
+            F = eval_F(mu, spec)
+            want = _oracle_eval_F(mu.atoms, mu.weights, spec)
             for i in range(len(mu.atoms)):
                 for j in range(len(mu.atoms[i])):
-                    scale = mu.weights[i][j] @ np.abs(full_grad(spec, mu.atoms[i][j], 1))
+                    scale = mu.weights[i][j] @ np.abs(full_grad(spec, mu.atoms[i][j]))
                     _assert_ulps(F[i, j], want[i, j], scale)
 
 
@@ -441,9 +441,9 @@ def test_eval_F_names_first_bin_outside_domain(smooth_family):
     mu.atoms[late][2][-1, 1] = 2.0 * P_max
     mu.atoms[late][1][0, 1] = -2.0 * P_max
     with pytest.raises(AtomOutsideDomain) as want:
-        _oracle_eval_F(mu.atoms, mu.weights, spec, 1)
+        _oracle_eval_F(mu.atoms, mu.weights, spec)
     with pytest.raises(AtomOutsideDomain) as got:
-        eval_F(mu, spec, 1)
+        eval_F(mu, spec)
     assert str(got.value) == str(want.value)
     assert f"({late}, 1)" in str(got.value)
 
@@ -471,16 +471,15 @@ def test_build_measure_rejects_empty_time_bin(smooth_family):
 def _oracle_mvs(traj, problem, f_spec, g_spec, measure=None):
     vol = problem.vol
     h = traj.time_grid.h
-    s = problem.s
     Lm = problem.L + problem.reg * np.eye(problem.L.shape[0])
     if measure is not None:
-        F_bins = eval_F(measure, f_spec, s)
+        F_bins = eval_F(measure, f_spec)
         edges = np.asarray(measure.time_edges, dtype=float)
     lhs = rhs = 0.0
     for n in range(traj.time_grid.n_steps):
         z = traj.z_nodes[n + 1]
         if measure is None:
-            F = full_grad(f_spec, z, s)
+            F = full_grad(f_spec, z)
         else:
             i = int(np.clip(np.searchsorted(edges, (n + 0.5) * h, side="right") - 1,
                             0, F_bins.shape[0] - 1))
@@ -522,7 +521,7 @@ def test_mvs_residual_matches_per_step_oracle(dim, g):
                          for edges in _partitions(runs[0][0].time_grid)]
     for prob, traj in runs:
         for mu in measures:
-            rep = mvs_residual(traj, prob, f, g, measure=mu)
+            rep = mvs_residual(traj, prob, measure=mu)
             assert (rep.lhs, rep.rhs) == _oracle_mvs(traj, prob, f, g, measure=mu)
 
 
@@ -539,22 +538,44 @@ def test_mvs_residual_rejects_measure_of_another_grid(smooth_family):
     mu = build_measure([traj2], other.volumes,
                        uniform_partition(prob2.time_grid, n_time_bins=2))
     with pytest.raises(MismatchedScenario):
-        mvs_residual(traj, prob, f, g, measure=mu)
+        mvs_residual(traj, prob, measure=mu)
+
+
+def test_mvs_residual_rejects_measure_off_the_trajectory_time():
+    """A measure whose time edges do not run from 0 to the trajectory's T is
+    refused, not clipped: a measure over [0, 1] for a T = 2 trajectory would
+    give every step after t = 1 the driving force of its last bin, and a
+    measure at one time has no time bins."""
+    grid = Grid(1, 4)
+    sys_ = AssembledSystem(grid, make_tensors(1, 1.0, 1.0, coupling=0.3, hardening=0.4))
+    f, g = LogSaturationRadial(1.0), PowerLaw(1.0, 2.0)
+    sched = LoadSchedule([0.0, 2.0], [[0.0], [0.8]], [0.0, 0.6])
+    runs = {}
+    for T in (1.0, 2.0):
+        prob = SteppedProblem(sys_, f, g, 3, T=T)
+        runs[T] = prob, prob.run(np.zeros((grid.n_cells, 2)),
+                                 average_loads(sys_, sched, prob.time_grid))[0]
+    prob, traj = runs[2.0]
+    short = runs[1.0][1]
+    for mu in (build_measure([short], grid.volumes, uniform_partition(short.time_grid, 4)),
+               measure_at_time([traj], grid.volumes, 0.5)):
+        with pytest.raises(ValueError, match="time edges must increase strictly from 0 to T = 2"):
+            mvs_residual(traj, prob, measure=mu)
 
 
 # Independent oracle for the study: the loop that built every prefix measure
 # and every single-level measure separately.
 
 
-def _oracle_study(results, f_spec, strain_dim, volumes, time_edges):
+def _oracle_study(results, f_spec, volumes, time_edges):
     results = sorted(results, key=lambda lr: lr[0])
     trajs = [tr for _, tr in results]
     spreads, F_dev = [], []
     for i in range(1, len(trajs) + 1):
         mu = build_measure(trajs[:i], volumes, time_edges)
         spreads.append(mu.max_spread)
-        F = eval_F(mu, f_spec, strain_dim)
-        grad_bar = full_grad(f_spec, mu.first_moment, strain_dim)
+        F = eval_F(mu, f_spec)
+        grad_bar = full_grad(f_spec, mu.first_moment)
         F_dev.append(float(np.abs(F - grad_bar).max(initial=0.0)))
     w = volumes / volumes.sum()
     final_diffs = [float(np.sqrt(np.sum(w[:, None] * (za.z_nodes[-1] - zb.z_nodes[-1]) ** 2)))
@@ -580,8 +601,8 @@ def test_convergence_study_matches_per_prefix_oracle(smooth_family, levels, unev
     vols = _uneven_volumes(grid)
     edges = _partitions(runs[3][0].time_grid)[2 if uneven else 1]
     mu = build_measure([tr for _, tr in results], vols, edges)
-    study = convergence_study(results[::-1], spec, 1, vols, mu)
-    assert study == _oracle_study(results, spec, 1, vols, edges)
+    study = convergence_study([tr for _, tr in results[::-1]], spec, vols, mu)
+    assert study == _oracle_study(results, spec, vols, edges)
     assert max(study["F_deviation"]) > 0.0
 
 
@@ -600,7 +621,7 @@ def test_convergence_study_builds_each_measure_once(smooth_family, monkeypatch, 
         return build_measure(*args)
 
     monkeypatch.setattr(young, "build_measure", counted)
-    convergence_study(results, f, 1, grid.volumes, mu)
+    convergence_study([tr for _, tr in results], f, grid.volumes, mu)
     n = len(levels)
     assert len(calls) == 2 * (n - 1)
     assert sorted(calls) == sorted(list(range(1, n)) + [1] * (n - 1))
