@@ -152,27 +152,29 @@ class EnergyLedger:
         return rhs - lhs
 
 
+@dataclass(eq=False)
 class Trajectory:
-    """Rothe node values with the piecewise-constant interpolant accessor."""
+    """What the march produces: nodes, M z at every node, loads and certificates."""
 
-    def __init__(self, time_grid, z_nodes, Sigma, sigma_E, certificates, zhat):
-        self.time_grid = time_grid
-        self.z_nodes = z_nodes          # (N+1, n_cells, k)
-        self.Sigma = Sigma              # (N, n_cells, k)
-        self.sigma_E = sigma_E          # (N, n_cells, k): (stress, E) per step
-        self.certificates = certificates
-        self.zhat = zhat                # (N, n_cells, k)
+    time_grid: TimeGrid
+    z_nodes: np.ndarray             # (N+1, n_cells, k)
+    Mz: np.ndarray                  # (N+1, n_cells, k)
+    zhat: np.ndarray                # (N, n_cells, k)
+    certificates: list
+
+    @property
+    def sigma_E(self):
+        """(stress, E) per step, (N, n_cells, k): z_hat^n - M z^n."""
+        return self.zhat - self.Mz[1:]
 
     @property
     def rates(self):
         return np.diff(self.z_nodes, axis=0) / self.time_grid.h
 
     def z_const(self, t):
-        h = self.time_grid.h
-        if t <= 0.0:
-            return self.z_nodes[0]
-        n = int(np.clip(np.ceil(t / h - 1e-12), 1, self.time_grid.n_steps))
-        return self.z_nodes[n]
+        """The piecewise-constant interpolant: z^n on ((n-1)h, nh], z^0 at t <= 0."""
+        n = np.searchsorted(self.time_grid.times, t)
+        return self.z_nodes[min(n, self.time_grid.n_steps)]
 
 
 class AndersonHistory:
@@ -268,27 +270,31 @@ class SteppedProblem:
 
     # -- certificate ----------------------------------------------------
 
+    def driving_stress(self, z, zhat, Mm_z):
+        """Sigma = -M_m z - grad f(z) + z_hat, given ``Mm_z`` = M_m z."""
+        return -Mm_z - full_grad(self.f, z) + zhat
+
     def residual_parts(self, z, rate, zhat, Mm_z):
-        """Sigma, integrated Young-Fenchel residual and violation at z.
+        """Integrated Young-Fenchel residual and violation at z.
 
         The residual is taken at the flow-rule projection of Sigma onto the
         domain of g, plus the pairing of the rate with the projection's move;
         the violation is the largest distance of Sigma to that domain.
         ``Mm_z`` is M_m z.
         """
-        Sigma = -Mm_z - full_grad(self.f, z) + zhat
+        Sigma = self.driving_stress(z, zhat, Mm_z)
         viol = float(self.g.violation(Sigma).max(initial=0.0))
         Sigma_in = self.g.project(Sigma)
         resid = fenchel_residual(self.g, rate, Sigma_in)
         resid = resid + np.sum(rate * (Sigma_in - Sigma), axis=-1)
         total = float(np.sum(self.vol * np.maximum(resid, 0.0)))
-        return Sigma, total, viol
+        return total, viol
 
     # -- single step -----------------------------------------------------
 
     def step(self, z_prev, zhat, step_tol=1e-6, fp_tol=1e-10, max_iter=100000,
              y0=None):
-        """Solve one implicit step; returns (z, Sigma, certificate, M z).
+        """Solve one implicit step; returns (z, M z, certificate).
 
         Davis-Yin three-operator splitting: the remanent energy enters by its
         prox (which keeps iterates strictly inside its domain), the rate term
@@ -336,11 +342,11 @@ class SteppedProblem:
                 break
             if fp <= fp_tol or it == max_iter:
                 rate = (xB - z_prev) / self.h
-                Sigma, resid, viol = self.residual_parts(xB, rate, zhat, Mm_xB)
+                resid, viol = self.residual_parts(xB, rate, zhat, Mm_xB)
                 if not np.isfinite(resid):
                     break
                 if resid <= step_tol and fp <= fp_tol:
-                    return xB, Sigma, StepCertificate(resid, viol, fp, it), M_xB
+                    return xB, M_xB, StepCertificate(resid, viol, fp, it)
                 if resid < best:
                     best, stalled = resid, 0
                 else:
@@ -364,9 +370,8 @@ class SteppedProblem:
     def run(self, z0, zhat_steps, step_tol=1e-6, fp_tol=1e-10, max_iter=100000):
         """March all 2^level steps; returns (Trajectory, EnergyLedger).
 
-        Each step starts from the previous node.  M z is kept at every node
-        for the stress/field pair and the ledger: applied once to z0 and
-        taken from the step at every later node.
+        Each step starts from the previous node.  M z of every node is kept in
+        the trajectory: applied once to z0, then taken from the step.
         """
         if max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -380,29 +385,30 @@ class SteppedProblem:
         z_nodes[0] = z0
         Mz = np.empty_like(z_nodes)
         Mz[0] = self.apply_M(z0)
-        Sigmas = np.empty((N,) + z0.shape)
         certs = []
         for n in range(N):
             try:
-                z_nodes[n + 1], Sigmas[n], cert, Mz[n + 1] = self.step(
+                z_nodes[n + 1], Mz[n + 1], cert = self.step(
                     z_nodes[n], zhat_steps[n], step_tol=step_tol,
                     fp_tol=fp_tol, max_iter=max_iter)
             except StepSolveFailure as exc:
                 raise StepSolveFailure(n + 1, exc.certificate, exc.fixed_point_gap,
                                        exc.lowest_certificate, exc.load_scale) from exc
             certs.append(cert)
-        traj = Trajectory(tg, z_nodes, Sigmas, zhat_steps - Mz[1:], certs, zhat_steps)
-        return traj, self._ledger(traj, Mz)
+        traj = Trajectory(tg, z_nodes, Mz, zhat_steps, certs)
+        return traj, self._ledger(traj)
 
-    def _ledger(self, traj, Mz):
-        """Energy ledger of a finished trajectory, given M z at every node.
+    def _ledger(self, traj):
+        """Energy ledger of a finished trajectory.
 
         Every term integrates over the domain one node (or step) at a time,
         as ``np.sum`` of that node alone would, so the ledger does not
         depend on how many steps it covers.
         """
         vol, g = self.vol, self.g
-        z, rate, Sigma = traj.z_nodes, traj.rates, traj.Sigma
+        z, Mz = traj.z_nodes, traj.Mz
+        Sigma = self.driving_stress(z[1:], traj.zhat, Mz[1:] + z[1:] @ self.L.T + self.reg * z[1:])
+        rate = traj.rates
 
         def integral(density):
             return np.sum(density.reshape(len(density), -1), axis=1)

@@ -31,9 +31,19 @@ MUTATIONS = [
      "    se = traj.sigma_E.reshape(-1, k)\n",
      "    se = np.roll(traj.sigma_E.reshape(-1, k), space_dim(k), axis=1)\n",
      _TRAJECTORY),
-    ("ferrosolve/rothe.py", "zhat_steps - Mz[1:]", "zhat_steps - Mz[:-1]", _TRAJECTORY),
-    ("ferrosolve/rothe.py", "return xB, Sigma, StepCertificate",
-     "return xA, Sigma, StepCertificate", _TRAJECTORY),
+    ("ferrosolve/rothe.py", "self.zhat - self.Mz[1:]", "self.zhat - self.Mz[:-1]", _TRAJECTORY),
+    ("ferrosolve/rothe.py", "return xB, M_xB, StepCertificate",
+     "return xA, M_xB, StepCertificate", _TRAJECTORY),
+    # the ledger's Sigma is taken at the nodes z^1..z^N
+    ("ferrosolve/rothe.py",
+     "self.driving_stress(z[1:], traj.zhat, Mz[1:] + z[1:] @ self.L.T + self.reg * z[1:])",
+     "self.driving_stress(z[:-1], traj.zhat, Mz[:-1] + z[:-1] @ self.L.T + self.reg * z[:-1])",
+     "tests/test_rothe.py::test_run_and_ledger_match_per_step_oracle"),
+    # the piecewise-constant interpolant at node times (the mutant is the
+    # former rounding, which steps one node too far at level 18)
+    ("ferrosolve/rothe.py", "n = np.searchsorted(self.time_grid.times, t)",
+     "n = max(int(np.ceil(t / self.time_grid.h - 1e-12)), 0)",
+     "tests/test_rothe.py::test_z_const_at_node_times"),
     # the compacted index blocks of the writers
     ("ferrosolve/io.py", 'np.argsort(block == 0, axis=1, kind="stable")',
      "np.argsort(block == 0, axis=1)",
@@ -71,6 +81,22 @@ MUTATIONS = [
     ("ferrosolve/young.py", "_time_edges(measure.time_edges, traj.time_grid.T)",
      "np.asarray(measure.time_edges, dtype=float)",
      "tests/test_young.py::test_mvs_residual_rejects_measure_off_the_trajectory_time"),
+    # the guards around the march
+    ("ferrosolve/rothe.py", "        if not np.all(full_contains(self.f, z_prev)):\n",
+     "        if False:\n",
+     "tests/test_rothe.py::test_step_rejects_previous_state_outside_domain_of_f"),
+    ("ferrosolve/rothe.py", "np.any(np.diff(self.times) <= 0)", "np.any(np.diff(self.times) < 0)",
+     "tests/test_rothe.py::test_load_schedule_rejects_equal_sample_times"),
+    ("ferrosolve/young.py", "if tr.time_grid.T != T or ", "if ",
+     "tests/test_young.py::test_family_of_different_final_times_rejected"),
+    ("ferrosolve/rothe.py", "if not 0.0 < scale < np.inf:", "if not 0.0 < scale:",
+     "tests/test_rothe.py::test_anderson_overflowing_differences_give_plain_move"),
+    ("ferrosolve/elliptic.py", "U = U - self.lu.solve(res)", "U = U + self.lu.solve(res)",
+     "tests/test_elliptic.py::test_solve_refines_a_slightly_wrong_lu_solve"),
+    ("ferrosolve/elliptic.py",
+     "            if rel > self.linear_tol:\n                raise LinearSolveFailure(rel)",
+     "            if False:\n                raise LinearSolveFailure(rel)",
+     "tests/test_elliptic.py::test_solve_raises_when_refinement_falls_short"),
 ]
 
 #: run pytest in a process whose ferrosolve is the copy's

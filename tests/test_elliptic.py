@@ -1,12 +1,14 @@
 """Coupled elliptic solver: assembly oracle, manufactured convergence,
 projection identities."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ferrosolve import AssembledSystem, Grid, make_tensors
+from ferrosolve import AssembledSystem, Grid, LinearSolveFailure, make_tensors
 
 
 def _nodal_gradient(grid, nodal):
@@ -170,6 +172,33 @@ def _coupled_system(dim, n):
                      coupling=0.4 * rng.standard_normal((dim, s)),
                      hardening=0.3)
     return Grid(dim, n), AssembledSystem(Grid(dim, n), t)
+
+
+def _perturb_solves(sys_, eps):
+    """Make every LU solve of sys_ off by the relative error eps."""
+    lu = sys_.lu
+    sys_.lu = SimpleNamespace(solve=lambda rhs: (1.0 + eps) * lu.solve(rhs))
+
+
+def test_solve_refines_a_slightly_wrong_lu_solve():
+    """A solve off by 1e-6 leaves a residual above linear_tol; the one
+    refinement step brings it to about 1e-12, under the tolerance."""
+    _, sys_ = _coupled_system(2, 4)
+    rhs = np.random.default_rng(8).standard_normal(sys_.n_free)
+    exact = sys_._solve(rhs)
+    _perturb_solves(sys_, 1e-6)
+    U = sys_._solve(rhs)
+    assert np.linalg.norm(sys_.K @ U - rhs) <= sys_.linear_tol * np.linalg.norm(rhs)
+    assert np.abs(U - exact).max() <= 1e-10 * np.abs(exact).max()
+
+
+def test_solve_raises_when_refinement_falls_short():
+    """A solve off by 0.5 is still off by 0.25 after the refinement step."""
+    _, sys_ = _coupled_system(2, 4)
+    rhs = np.random.default_rng(8).standard_normal(sys_.n_free)
+    _perturb_solves(sys_, 0.5)
+    with pytest.raises(LinearSolveFailure):
+        sys_._solve(rhs)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 9), (2, 5), (3, 3)])

@@ -111,7 +111,7 @@ def _special_trajectory(dim=2, n_cells=3, level=2):
     certs = [StepCertificate(r, v, g, i) for r, v, g, i in
              zip([np.nan, -0.0, 5e-324, 0.1], [0.0, np.inf, 1e-300, -2.0],
                  [1e300, 3.0, -0.0, np.nan], [0, 7, 10, 123456])]
-    return Trajectory(tg, z, se, se, certs[:tg.n_steps], se)
+    return Trajectory(tg, z, np.zeros_like(z), se, certs[:tg.n_steps])
 
 
 def _check_trajectory(tmp_path, dim):
@@ -236,7 +236,7 @@ def test_integer_columns_at_every_power_of_ten(tmp_path):
     se = rng.standard_normal((tg.n_steps, n_cells, k))
     certs = [StepCertificate(0.5 ** n, 0.0, 1e-3, iterations[n % len(iterations)])
              for n in range(tg.n_steps)]
-    traj = Trajectory(tg, z, se, se, certs, se)
+    traj = Trajectory(tg, z, np.zeros_like(z), se, certs)
     write_certificates_csv(tmp_path / "c.csv", traj)
     fields = [line.split(",") for line in (tmp_path / "c.csv").read_text().splitlines()[2:]]
     assert [(f[0], f[1], f[5]) for f in fields] == [

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from ferrosolve import (AssembledSystem, BallIndicator, Grid,
+from ferrosolve import (AssembledSystem, BallIndicator, DomainEscape, Grid,
                         LoadSchedule, LogSaturationRadial, PowerLaw,
-                        Quadratic, StepSolveFailure, SteppedProblem, TimeGrid,
-                        average_loads, interpolant_gap, make_tensors)
-from ferrosolve.potentials import full_prox, full_value
+                        Quadratic, StepCertificate, StepSolveFailure,
+                        SteppedProblem, TimeGrid, Trajectory, average_loads,
+                        interpolant_gap, make_tensors)
+from ferrosolve.potentials import full_grad, full_prox, full_value
 from ferrosolve.rothe import AA_MEMORY, AndersonHistory
 
 
@@ -49,6 +50,12 @@ def _step_averages(schedule, tg):
     return np.stack([_pw_linear_average(schedule.times, schedule.rows,
                                         (n - 1) * tg.h, n * tg.h)
                      for n in range(1, tg.n_steps + 1)])
+
+
+def test_load_schedule_rejects_equal_sample_times():
+    with pytest.raises(ValueError, match="strictly increasing"):
+        LoadSchedule([0.0, 0.5, 0.5, 1.0], [[0.0], [1.0], [2.0], [0.0]],
+                     [0.0, 0.0, 0.0, 0.0])
 
 
 def test_pw_linear_average_exact():
@@ -178,7 +185,7 @@ def test_step_matches_closed_form_linear_oracle():
     z_prev = np.array([[0.1, -0.3]])
     zhat = np.array([[0.7, 0.4]])
 
-    z, Sigma, cert, _ = prob.step(z_prev, zhat, step_tol=1e-14, fp_tol=1e-13)
+    z, _, cert = prob.step(z_prev, zhat, step_tol=1e-14, fp_tol=1e-13)
 
     # optimality: (v - z_prev)/(2 c h) + (M_m + H) v = zhat + z_prev/(2 c h)
     Mm = sys_.assemble_M_matrix() + prob.L + prob.reg * np.eye(2)
@@ -186,6 +193,23 @@ def test_step_matches_closed_form_linear_oracle():
     v_ref = np.linalg.solve(A, zhat[0] + z_prev[0] / (2 * c_g * h))
     assert np.abs(z[0] - v_ref).max() <= 1e-9
     assert cert.residual <= 1e-14
+
+
+def test_step_returns_node_M_z_and_certificate():
+    """step returns (z, M z, certificate): run keeps index 1 as the node's
+    M z, and the benchmark's tracer reads the iteration count at index 2."""
+    _, _, prob = _single_cell_problem(Quadratic(np.diag([0.5, 1.5])), PowerLaw(0.8, 2.0))
+    result = prob.step(np.array([[0.1, -0.3]]), np.array([[0.7, 0.4]]))
+    assert isinstance(result, tuple) and len(result) == 3
+    z, Mz, cert = result
+    assert Mz.tobytes() == prob.apply_M(z).tobytes()
+    assert isinstance(cert, StepCertificate) and cert.iterations >= 1
+
+
+def test_step_rejects_previous_state_outside_domain_of_f():
+    _, _, prob = _single_cell_problem(LogSaturationRadial(1.0), PowerLaw(1.0, 2.0))
+    with pytest.raises(DomainEscape, match="previous state"):
+        prob.step(np.array([[0.0, 1.5]]), np.array([[0.1, 0.1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +223,7 @@ def test_step_matches_grid_search_oracle():
     h = prob.h
     z_prev = np.array([[0.05, 0.1]])
     zhat = np.array([[0.9, 0.8]])
-    z, Sigma, cert, _ = prob.step(z_prev, zhat, step_tol=1e-12, fp_tol=1e-12)
+    z, _, cert = prob.step(z_prev, zhat, step_tol=1e-12, fp_tol=1e-12)
 
     # brute force on a 400 x 400 lattice over (r, P)
     Mm = sys_.assemble_M_matrix() + prob.L + prob.reg * np.eye(2)
@@ -244,7 +268,7 @@ def test_step_uniqueness_random_restarts():
     z_ref = traj.z_nodes[n + 1]
     for _ in range(5):
         y0 = z_prev + 0.5 * rng.standard_normal(z_prev.shape)
-        z, _, _, _ = prob.step(z_prev, zhat[n], step_tol=1e-10, fp_tol=1e-12, y0=y0)
+        z, _, _ = prob.step(z_prev, zhat[n], step_tol=1e-10, fp_tol=1e-12, y0=y0)
         assert np.abs(z - z_ref).max() <= 1e-7
 
 
@@ -446,7 +470,7 @@ def test_stalled_step_fails_fast_with_lowest_certificate():
 
     def recorded_parts(*args):
         parts = residual_parts(*args)
-        checks[-1].append(parts[1])
+        checks[-1].append(parts[0])
         return parts
 
     prob.step, prob.residual_parts = recorded_step, recorded_parts
@@ -482,6 +506,20 @@ def test_affine_and_constant_interpolants():
     assert np.allclose(traj.z_const(0.0), traj.z_nodes[0])
 
 
+@pytest.mark.parametrize("level, nodes", [(3, [3, 6]), (18, [24576, 24581, 24586])])
+def test_z_const_at_node_times(level, nodes):
+    """At t = n h the piecewise-constant interpolant is z^n, however far
+    t / h rounds from n; inside a step it is the step's right node."""
+    tg = TimeGrid(T=0.1, level=level)
+    z = np.arange(tg.n_steps + 1.0).reshape(-1, 1, 1)       # marker nodes: z^n = n
+    traj = Trajectory(tg, z, np.zeros_like(z), np.zeros_like(z[1:]), [])
+    for n in nodes:
+        assert traj.z_const(n * tg.h)[0, 0] == n
+        assert traj.z_const((n - 0.5) * tg.h)[0, 0] == n
+    assert traj.z_const(-1.0)[0, 0] == 0 and traj.z_const(0.0)[0, 0] == 0
+    assert traj.z_const(1.0)[0, 0] == tg.n_steps
+
+
 # ---------------------------------------------------------------------------
 # Independent oracle for the trajectory and its energy ledger: the march that
 # run() carried before, warm-starting each step from the previous node and
@@ -512,9 +550,10 @@ def _oracle_run(prob, z0, zhat, step_tol, fp_tol):
     terms["If_energy"] = [I_f(z0)]
     y_warm = None
     for n in range(prob.time_grid.n_steps):
-        z, Sigma, _, _ = prob.step(nodes[-1], zhat[n], step_tol=step_tol,
-                                   fp_tol=fp_tol, y0=y_warm)
+        z, _, _ = prob.step(nodes[-1], zhat[n], step_tol=step_tol,
+                            fp_tol=fp_tol, y0=y_warm)
         Mz = prob.apply_M(z)
+        Sigma = -(Mz + z @ prob.L.T + prob.reg * z) - full_grad(prob.f, z) + zhat[n]
         sigma_E.append(-Mz + zhat[n])
         y_warm = z.copy()
         rate = (z - nodes[-1]) / prob.h
@@ -628,3 +667,14 @@ def test_anderson_gram_matches_ring_buffer():
     assert np.allclose(hist.extrapolate(r), want, rtol=1e-8, atol=1e-10)
     hist.reset()
     assert hist.filled == 0 and np.array_equal(hist.extrapolate(r), r)
+
+
+def test_anderson_overflowing_differences_give_plain_move():
+    """Differences whose Gram trace overflows carry no usable history: the
+    move is the plain r."""
+    hist = AndersonHistory(4)
+    with np.errstate(over="ignore"):
+        hist.push(np.full(4, 1e200), np.full(4, 1e200))
+        hist.push(np.ones(4), np.full(4, -1e200))
+    r = np.arange(1.0, 5.0)
+    assert np.array_equal(hist.extrapolate(r), r)

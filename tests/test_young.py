@@ -145,6 +145,20 @@ def test_mismatched_trajectories_rejected(smooth_family):
         build_measure([runs[3][1], traj2], grid.volumes, edges)
 
 
+def test_family_of_different_final_times_rejected():
+    """Trajectories of one grid and one step size but different final times
+    are not one level family."""
+    from ferrosolve import TimeGrid, Trajectory
+
+    def traj(T, level):
+        tg = TimeGrid(T=T, level=level)
+        z = np.zeros((tg.n_steps + 1, 3, 2))
+        return Trajectory(tg, z, z, z[1:], [])
+
+    with pytest.raises(MismatchedScenario, match="final time"):
+        measure_at_time([traj(1.0, 2), traj(2.0, 3)], np.ones(3), 0.5)
+
+
 def test_mvs_residual_certified_trajectory(smooth_family):
     grid, sys_, f, g, runs = smooth_family
     prob, traj = runs[5]
@@ -217,10 +231,9 @@ def test_mvs_residual_scaling_with_horizon():
         tg = TimeGrid(T=T, level=level)
         assert tg.n_steps == n_steps and tg.h == pytest.approx(traj.time_grid.h)
         return Trajectory(tg, traj.z_nodes[n0:n0 + n_steps + 1],
-                          traj.Sigma[n0:n0 + n_steps],
-                          traj.sigma_E[n0:n0 + n_steps],
-                          traj.certificates[n0:n0 + n_steps],
-                          traj.zhat[n0:n0 + n_steps])
+                          traj.Mz[n0:n0 + n_steps + 1],
+                          traj.zhat[n0:n0 + n_steps],
+                          traj.certificates[n0:n0 + n_steps])
 
     prob1 = SteppedProblem(sys_, f, g, 5, T=1.0, reg_weight=reg)
     prob2 = SteppedProblem(sys_, f, g, 6, T=2.0, reg_weight=reg)
